@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--coupling-model", choices=("star-uniform", "star-decay"),
                     default="star-uniform")
     pr.add_argument("--dt", type=float, default=None,
-                    help="integrator step (default: quarter of the step gate)")
+                    help="integrator step (default: half the step gate)")
     pr.add_argument("--shots", type=int, default=10_000)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--mode", choices=("envelope", "instantaneous"), default="envelope",

@@ -33,11 +33,22 @@ FIRST_ORDER_LIMIT = 0.1
 _SCAN_POINTS_PER_PERIOD = 64
 
 
+def _detunings(labels, target: int, units: Units):
+    """omega*log(M/N) as +-omega*log1p(|M-N|/min(M, N)); labels: an int or an array.
+
+    Subtracting log(M) - log(N) cancels for the nearest neighbours, which set
+    the discrimination time; log1p of the exact integer gap does not. Taking
+    the sign apart keeps Delta(M, N) = -Delta(N, M) exact.
+    """
+    gap = np.asarray(labels) - target
+    return units.omega * np.sign(gap) * np.log1p(np.abs(gap) / np.minimum(labels, target))
+
+
 def detuning(m: int, target: int, units: Units = Units()) -> float:
     """Drive detuning of level M when the drive sits on level N."""
     if m < 2 or target < 2:
         raise ValueError("excited labels start at 2")
-    return units.omega * (math.log(m) - math.log(target))
+    return float(_detunings(m, target, units))
 
 
 def excitation_probability(
@@ -114,17 +125,6 @@ def excitation_profile(
     return ExcitationProfile(target=target, time=t, probabilities=p)
 
 
-def _competitor_grid(basis, coupling, target, times):
-    """p_M(t) for excited M != target on a time grid; rows follow excited labels."""
-    labels = np.arange(2, basis.n_max + 1)
-    keep = labels != target
-    labels = labels[keep]
-    delta = basis.units.omega * (np.log(labels) - math.log(target))
-    w = np.abs(coupling.vacuum_row[1:])[keep]
-    phase = 0.5 * np.outer(delta, times)
-    return labels, (w[:, None] / basis.units.hbar) ** 2 * np.sin(phase) ** 2 / delta[:, None] ** 2
-
-
 def discrimination_time(
     target: int,
     basis: CavityBasis,
@@ -161,9 +161,10 @@ def discrimination_time(
     if w_target == 0:
         raise ValueError("the drive cannot reach a target with zero vacuum coupling")
 
+    # competitors: every excited level M != target
     labels = np.arange(2, basis.n_max + 1)
     keep = labels != target
-    delta = basis.units.omega * (np.log(labels[keep]) - math.log(target))
+    delta = _detunings(labels[keep], target, basis.units)
     mags = np.abs(coupling.vacuum_row[1:])[keep]
     worst = float(np.max(mags / np.abs(delta)))
     # hbar cancels between the resonant growth and the envelope
@@ -177,7 +178,9 @@ def discrimination_time(
     period = 2.0 * math.pi / (basis.units.omega * math.log1p(1.0 / target))
     step = period / _SCAN_POINTS_PER_PERIOD
     times = np.arange(0.0, t_envelope + period + 2 * step, step)
-    _, comp = _competitor_grid(basis, coupling, target, times)
+    # first-order p_M(t) of every competitor on the grid, one row per level
+    phase = 0.5 * np.outer(delta, times)
+    comp = (mags[:, None] / basis.units.hbar) ** 2 * np.sin(phase) ** 2 / delta[:, None] ** 2
     p_target = (w_target * times / (2.0 * basis.units.hbar)) ** 2
     ok = (p_target >= kappa * comp.max(axis=0)) & (p_target > 0.0)
     window = _SCAN_POINTS_PER_PERIOD + 1

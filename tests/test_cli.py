@@ -88,6 +88,12 @@ def test_prepare_guard_exit_code(capsys):
     assert "first-order guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", ["nan", "inf", "0"])
+def test_prepare_rejects_bad_dt(dt, capsys):
+    assert run_cli(["prepare", "--target", "6", "--dt", dt]) == 4
+    assert "dt must be finite and positive" in capsys.readouterr().err
+
+
 def test_prepare_unknown_model():
     assert run_cli(["prepare", "--target", "6", "--coupling-model", "ring"]) == 4
 

@@ -17,9 +17,12 @@ from primecavity import (
     occupation_probabilities,
     propagate,
     readout_factorization,
+    run_prepare,
     sample_measurement,
     vacuum_state,
 )
+
+from helpers import oracle_rk4
 
 
 def _uniform_setup(n_max, target, lam):
@@ -42,7 +45,8 @@ def test_free_evolution_phases():
     run = propagate(WaveFunction(amp.copy()), basis, zero,
                     DriveConfig(frequency=1.0, target=2), t_final, 1e-3)
     expected = amp * np.exp(-1j * basis.energy_vector * t_final)
-    assert np.abs(run.final.amplitudes - expected).max() < 1e-8
+    # H0 is applied exactly, so only rounding over the 7000 steps remains
+    assert np.abs(run.final.amplitudes - expected).max() <= 1e-12
     assert np.abs(np.abs(run.final.amplitudes) - np.abs(amp)).max() < 1e-10
 
 
@@ -72,6 +76,34 @@ def test_norm_drift_and_integrator_order():
     # halving dt must cut the drift at least 8x (the scheme is 4th order;
     # the norm defect itself shrinks like dt^5 per unit time)
     assert run_coarse.norm_drift / max(run_fine.norm_drift, 1e-17) >= 8.0
+
+
+def test_default_step_matches_oracle():
+    # run_prepare's default step (half the gate) against the independent
+    # lab-frame RK4 at a sixteenth of the gate; criterion-7 coupling at N = 6
+    target, n_max = 6, 14
+    t_disc = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / target)
+    strength = 2.0 * math.sqrt(0.08) / t_disc
+    report = run_prepare(target, n_max=n_max, strength=strength, shots=100, seed=1)
+    basis, coupling, drive = _uniform_setup(n_max, target, strength)
+    gate = max_stable_dt(basis, coupling)
+    assert report.manifest["dt"] == gate / 2
+    run = propagate(vacuum_state(basis), basis, coupling, drive, report.t_disc,
+                    report.manifest["dt"], sample_stride=10**9)
+    psi_ref = oracle_rk4(n_max, strength, math.log(target), report.t_disc, gate / 16)
+    assert np.abs(run.final.amplitudes - psi_ref).max() <= 1e-10
+
+
+def test_non_star_coupling_rejected():
+    n = 8
+    basis = build_basis(n)
+    m = np.zeros((n, n), dtype=complex)
+    m[0, 1:] = m[1:, 0] = 1e-3
+    m[2, 5] = m[5, 2] = 1e-4  # Hermitian, zero diagonal, but excited-excited
+    coupling = CouplingOperator(model="star-uniform", strength=1e-3, matrix=m)
+    with pytest.raises(ConfigurationError, match="star coupling"):
+        propagate(vacuum_state(basis), basis, coupling,
+                  DriveConfig.resonant(basis, 3), 1.0, 1e-3)
 
 
 def test_propagation_is_deterministic():
@@ -221,3 +253,16 @@ def test_propagate_dimension_checks():
         propagate(vacuum_state(basis), basis, coupling, drive, -1.0, 1e-3)
     with pytest.raises(ValueError):
         propagate(vacuum_state(basis), basis, coupling, drive, 1.0, -1e-3)
+
+
+@pytest.mark.parametrize("t_final, dt, named", [
+    (1.0, math.nan, "dt"),
+    (1.0, math.inf, "dt"),
+    (1.0, 0.0, "dt"),
+    (math.nan, 1e-3, "t_final"),
+    (math.inf, 1e-3, "t_final"),
+])
+def test_propagate_rejects_non_finite_arguments(t_final, dt, named):
+    basis, coupling, drive = _uniform_setup(8, 3, 1e-3)
+    with pytest.raises(ValueError, match=f"^{named} must be finite"):
+        propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt)

@@ -170,6 +170,14 @@ def test_prepare_end_to_end_target_6():
     assert report.manifest["n_max"] == 14
 
 
+def test_prepare_default_step_drift_at_50():
+    # criterion-7 coupling (~8% target weight); drift at the default step
+    # must stay far inside the 1e-9 norm tolerance
+    t_disc = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / 50)
+    report = run_prepare(50, strength=2.0 * math.sqrt(0.08) / t_disc, shots=100, seed=1)
+    assert report.norm_drift <= 1e-11
+
+
 def test_prepare_prime_target():
     report = run_prepare(2, strength=0.036, shots=2000, seed=1)
     assert report.status == "pass"

@@ -120,6 +120,16 @@ def test_discrimination_time_closed_form():
     assert t1 == pytest.approx(2.0 / math.log1p(1.0 / 8), rel=1e-12)
 
 
+def test_discrimination_time_large_n_flat_tolerance():
+    # the nearest-neighbour detuning must not lose digits to log(M) - log(N)
+    basis = build_basis(4097)
+    coupling = build_coupling(basis, "star-uniform", 1e-3)
+    for n in (3921, 4096):
+        expected = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / n)
+        t = discrimination_time(n, basis, coupling, kappa=10.0)
+        assert abs(t - expected) <= 1e-12 * expected, n
+
+
 def test_discrimination_time_grid_scan_oracle():
     # independent oracle: scan the closed-form probabilities on a dense grid
     # for the first time the target beats kappa times the worst envelope
