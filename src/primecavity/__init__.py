@@ -25,7 +25,6 @@ from .dynamics import (
     max_stable_dt,
     occupation_probabilities,
     propagate,
-    readout_factorization,
     sample_measurement,
     vacuum_state,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "occupation_probabilities",
     "offresonant_envelope",
     "propagate",
-    "readout_factorization",
     "run_invariant_checks",
     "run_prepare",
     "run_scaling",

@@ -26,11 +26,10 @@ COUPLING_MODELS = ("star-uniform", "star-decay")
 
 @dataclass(frozen=True)
 class CavityBasis:
-    """Labels 1..n_max with their mode occupations and level energies."""
+    """Labels 1..n_max with their level energies; occupations are factored on demand."""
 
     n_max: int
     units: Units
-    occupations: tuple[OccupationVector, ...]
     spectrum: SpectrumTable
 
     @property
@@ -44,7 +43,7 @@ class CavityBasis:
     def occupation(self, label: int) -> OccupationVector:
         if not 1 <= label <= self.n_max:
             raise ValueError(f"label {label} outside 1..{self.n_max}")
-        return self.occupations[label - 1]
+        return factorize(label)
 
     def energy(self, label: int) -> float:
         return self.spectrum.energy(label)
@@ -61,51 +60,65 @@ def build_basis(n_max: int, units: Units = Units()) -> CavityBasis:
     """
     if n_max < 2:
         raise ValueError(f"need the vacuum plus one excited level (got n_max={n_max})")
-    occs = tuple(factorize(n) for n in range(1, n_max + 1))
-    # every prime factor of N <= n_max is itself <= n_max, so all modes fit
-    spectrum = SpectrumTable.build(n_max, units)
-    return CavityBasis(n_max=n_max, units=units, occupations=occs, spectrum=spectrum)
+    return CavityBasis(n_max=n_max, units=units, spectrum=SpectrumTable.build(n_max, units))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CouplingOperator:
-    """Hermitian transition operator with zero diagonal over a CavityBasis.
+    """Star-shaped Hermitian transition operator, stored as its vacuum row.
 
-    matrix[i, j] is the element between labels i+1 and j+1. Hermiticity and
-    the zero diagonal are enforced at construction; reachability (nonzero
-    vacuum row) is a separate check so that deliberately broken operators can
-    be built and then rejected.
+    vacuum_row[i] = <vacuum|W|label i+1>; position 0 is the zero diagonal and the
+    excited -> vacuum column is its conjugate. A dense matrix is validated and
+    reduced to row 0. Reachability is checked apart (verify_reachability), so
+    that deliberately broken operators can be built and then rejected.
     """
 
     model: str
     strength: float
-    matrix: np.ndarray
+    vacuum_row: np.ndarray
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"coupling matrix must be square, got shape {m.shape}")
-        if self.strength < 0:
-            raise ValueError("coupling strength must be non-negative")
-        if not np.array_equal(m, m.conj().T):
-            raise ValueError("coupling matrix must be exactly Hermitian")
-        if np.any(m.diagonal() != 0):
-            raise ValueError("coupling diagonal must vanish (pure transition operator)")
-        m.setflags(write=False)
+    def __init__(self, model: str, strength: float, vacuum_row=None, *, matrix=None):
+        if not (math.isfinite(strength) and strength >= 0):
+            raise ValueError(f"coupling strength must be finite and non-negative (got {strength})")
+        if (vacuum_row is None) == (matrix is None):
+            raise ValueError("give the coupling as exactly one of vacuum_row or matrix")
+        if matrix is not None:
+            m = np.asarray(matrix)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"coupling matrix must be square, got shape {m.shape}")
+            if not np.all(np.isfinite(m)):
+                raise ValueError("coupling entries must be finite")
+            if not np.array_equal(m, m.conj().T):
+                raise ValueError("coupling matrix must be exactly Hermitian")
+            if np.any(m.diagonal() != 0):
+                raise ValueError("coupling diagonal must vanish (pure transition operator)")
+            if np.any(m[1:, 1:]):
+                raise ConfigurationError("not a star coupling: nonzero excited-excited elements")
+            vacuum_row = m[0].copy()  # a view would keep the whole matrix alive
+        row = np.asarray(vacuum_row, dtype=complex)
+        if row.ndim != 1 or not row.size or row[0] != 0 or not np.all(np.isfinite(row)):
+            raise ValueError("the vacuum row must be 1-d and finite, with a zero diagonal entry")
+        row.setflags(write=False)
+        for name, value in (("model", model), ("strength", strength), ("vacuum_row", row)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_max(self) -> int:
-        return self.matrix.shape[0]
+        return self.vacuum_row.shape[0]
 
     @property
-    def vacuum_row(self) -> np.ndarray:
-        """Elements <vacuum|W|N> by position N-1 (position 0 is the zero diagonal)."""
-        return self.matrix[0]
+    def matrix(self) -> np.ndarray:
+        """Read-only dense n_max x n_max form, built on every access (small-n debugging)."""
+        m = np.zeros((self.n_max, self.n_max), dtype=complex)
+        m[0] = self.vacuum_row
+        m[1:, 0] = np.conj(self.vacuum_row[1:])
+        m.setflags(write=False)
+        return m
 
     def vacuum_coupling(self, label: int) -> complex:
         if not 2 <= label <= self.n_max:
             raise ValueError(f"excited labels run 2..{self.n_max}, got {label}")
-        return complex(self.matrix[0, label - 1])
+        return complex(self.vacuum_row[label - 1])
 
 
 def build_coupling(basis: CavityBasis, model: str, strength: float) -> CouplingOperator:
@@ -116,25 +129,24 @@ def build_coupling(basis: CavityBasis, model: str, strength: float) -> CouplingO
     star-decay: <1|W|N> = strength/sqrt(N), a robustness variant probing
     whether a falling coupling changes the scaling conclusions.
     """
-    if strength <= 0:
-        raise ValueError(f"coupling strength must be positive (got {strength})")
+    if not (math.isfinite(strength) and strength > 0):
+        raise ValueError(f"coupling strength must be finite and positive (got {strength})")
     n = basis.n_max
-    w = np.zeros((n, n), dtype=complex)
+    row = np.zeros(n, dtype=complex)
     if model == "star-uniform":
-        w[0, 1:] = strength
+        row[1:] = strength
     elif model == "star-decay":
-        w[0, 1:] = strength / np.sqrt(np.arange(2, n + 1, dtype=float))
+        row[1:] = strength / np.sqrt(np.arange(2, n + 1, dtype=float))
     else:
         raise ConfigurationError(
             f"unknown coupling model {model!r}; choose one of {COUPLING_MODELS}"
         )
-    w[1:, 0] = np.conj(w[0, 1:])
-    return CouplingOperator(model=model, strength=strength, matrix=w)
+    return CouplingOperator(model=model, strength=strength, vacuum_row=row)
 
 
 def verify_reachability(coupling: CouplingOperator) -> bool:
     """True iff the vacuum couples to every excited level in the basis."""
-    return bool(np.all(coupling.matrix[0, 1:] != 0))
+    return bool(np.all(coupling.vacuum_row[1:] != 0))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Subcommands: spectrum, prepare, scaling, check. Exit codes: 0 success,
 2 readout mismatch, 3 inconclusive readout, 4 configuration error
-(including bad command lines), 1 failed invariant check.
+(including bad command lines and out-of-memory bases), 1 failed invariant check.
 """
 
 import argparse
@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .cavity import COUPLING_MODELS
 from .errors import ConfigurationError
 from .experiments import (
     prepare_report_dict,
@@ -75,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="coupling strength (default 1e-3)")
     pr.add_argument("--kappa", type=float, default=10.0,
                     help="required dominance ratio over competitors (default 10)")
-    pr.add_argument("--coupling-model", choices=("star-uniform", "star-decay"),
-                    default="star-uniform")
+    pr.add_argument("--coupling-model", choices=COUPLING_MODELS, default="star-uniform")
     pr.add_argument("--dt", type=float, default=None,
                     help="integrator step (default: half the step gate)")
     pr.add_argument("--shots", type=int, default=10_000)
@@ -94,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="levels to sweep (default 8 16 32 64 128)")
     sc.add_argument("--kappa", type=float, default=10.0)
     sc.add_argument("--mode", choices=("envelope", "instantaneous"), default="envelope")
-    sc.add_argument("--coupling-model", choices=("star-uniform", "star-decay"),
-                    default="star-uniform")
+    sc.add_argument("--coupling-model", choices=COUPLING_MODELS, default="star-uniform")
     sc.add_argument("--lambda", dest="strength", type=float, default=1e-3)
     sc.add_argument("--nmax", type=int, default=None,
                     help="basis size (default: largest target + 1)")
@@ -207,11 +206,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, OverflowError) as exc:
+        try:
+            return args.func(args)
+        except MemoryError:
+            size = args.nmax  # else the default basis size its runner derives
+            if size is None:
+                size = max(args.targets) + 1 if args.command == "scaling" else 2 * args.target + 2
+            raise ConfigurationError(f"not enough memory for a basis of {size} levels") from None
+    except (ConfigurationError, ValueError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4
 

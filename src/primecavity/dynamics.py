@@ -8,9 +8,9 @@ H0 = hbar*omega*log N is applied exactly, so RK4 only follows the weak O(lambda)
 drive. The full cosine drive is kept (no rotating-wave approximation) so the
 closed-form first-order results are genuinely tested instead of assumed. The
 kernel is specialised to the star couplings every model uses: vacuum <->
-excited elements only; anything else is rejected. Norm drift is a measured
-error signal: the state is never renormalized, and drift past tolerance
-raises instead of being hidden.
+excited elements only, the one shape CouplingOperator stores. Norm drift is a
+measured error signal: the state is never renormalized, and drift past
+tolerance raises instead of being hidden.
 
 Measurement draws multinomial photon-count shots from the Born weights.
 First-order driving leaves most of the population in the vacuum, so readout
@@ -109,10 +109,9 @@ def propagate(
 
     Stores every sample_stride-th step plus the final state. The step count
     comes from step_count, which also rejects a non-finite or out-of-range
-    t_final or dt. Raises ConfigurationError for a coupling that is not
-    star-shaped or a dt that violates the step gate (the message names the
-    maximum admissible dt), and PropagationError when the sampled norm drifts
-    past norm_tol.
+    t_final or dt. Raises ConfigurationError for a dt that violates the step
+    gate (the message names the maximum admissible dt), and PropagationError
+    when the sampled norm drifts past norm_tol.
     """
     steps = step_count(t_final, dt)
     if psi0.dimension != basis.n_max or coupling.n_max != basis.n_max:
@@ -121,10 +120,6 @@ def propagate(
         raise ValueError(f"drive target {drive.target} outside basis 1..{basis.n_max}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    if np.any(coupling.matrix[1:, 1:]):
-        raise ConfigurationError(
-            "propagate needs a star coupling: excited-excited elements must vanish"
-        )
 
     if t_final == 0:
         times = np.array([0.0])
@@ -256,7 +251,3 @@ def sample_measurement(
         conditional_target_probability=conditional,
     )
 
-
-def readout_factorization(result: MeasurementResult) -> OccupationVector | None:
-    """Occupation of the modal excited label; None propagates an inconclusive run."""
-    return result.readout

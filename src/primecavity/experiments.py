@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cavity import (
+    COUPLING_MODELS,
     CouplingOperator,
     DriveConfig,
     build_basis,
@@ -423,12 +424,6 @@ def scaling_study_dict(study: ScalingStudy) -> dict:
     }
 
 
-def write_scaling_json(study: ScalingStudy, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scaling_study_dict(study), fh, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # gnuplot side-car scripts
 
@@ -518,7 +513,7 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
 
     def check_reachability():
         basis = build_basis(64)
-        for model in ("star-uniform", "star-decay"):
+        for model in COUPLING_MODELS:
             coupling = build_coupling(basis, model, 1e-3)
             assert verify_reachability(coupling), model
             m = coupling.matrix
@@ -527,9 +522,7 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
 
     def check_free_evolution():
         basis = build_basis(16)
-        zero = CouplingOperator(
-            model="star-uniform", strength=0.0, matrix=np.zeros((16, 16), dtype=complex)
-        )
+        zero = CouplingOperator(model="star-uniform", strength=0.0, vacuum_row=np.zeros(16))
         rng = np.random.default_rng(3)
         amp = rng.normal(size=16) + 1j * rng.normal(size=16)
         amp /= np.linalg.norm(amp)

@@ -148,8 +148,8 @@ def discrimination_time(
     p_M(t) holds throughout one full nearest-neighbor beat period, with the
     grid resolving that period to 1/64. Never later than the envelope answer.
     """
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1 (got {kappa})")
+    if not (math.isfinite(kappa) and kappa >= 1):
+        raise ValueError(f"kappa must be finite and >= 1 (got {kappa})")
     if not 2 <= target <= basis.n_max - 1:
         raise ValueError(
             f"target and its upper neighbor must both fit the basis "

@@ -1,5 +1,6 @@
 """Unit system: every energy in the model is a multiple of hbar*omega."""
 
+import math
 from dataclasses import dataclass
 
 
@@ -11,8 +12,9 @@ class Units:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.omega <= 0:
-            raise ValueError("hbar and omega must both be positive")
+        for name, value in (("hbar", self.hbar), ("omega", self.omega)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive (got {value})")
 
     @property
     def energy_scale(self) -> float:

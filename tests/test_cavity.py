@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import primecavity.cavity
 from primecavity import (
     ConfigurationError,
     CouplingOperator,
@@ -39,6 +40,20 @@ def test_basis_occupations_match_factorize():
         assert basis.occupation(n) == factorize(n)
     with pytest.raises(ValueError):
         basis.occupation(51)
+
+
+def test_basis_factors_labels_only_on_demand(monkeypatch):
+    calls = []
+
+    def counting_factorize(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(primecavity.cavity, "factorize", counting_factorize)
+    basis = build_basis(10**5)
+    assert calls == []
+    assert basis.occupation(12).as_dict() == {2: 2, 3: 1}
+    assert calls == [12]
 
 
 def test_basis_energies_match_level_energy():
@@ -82,6 +97,53 @@ def test_coupling_matrix_is_readonly():
     w = build_coupling(basis, "star-uniform", 1e-3)
     with pytest.raises(ValueError):
         w.matrix[0, 1] = 0.0
+
+
+def test_coupling_stores_only_its_vacuum_row():
+    basis = build_basis(10**6)
+    w = build_coupling(basis, "star-decay", 1e-3)
+    held = sum(v.nbytes for v in vars(w).values() if hasattr(v, "nbytes"))
+    assert held == 16 * 10**6
+    assert w.n_max == 10**6
+    assert w.vacuum_coupling(10**6) == pytest.approx(1e-3 / 1000.0, rel=1e-15)
+
+
+def test_coupling_matrix_roundtrip():
+    basis = build_basis(9)
+    for model in ("star-uniform", "star-decay"):
+        w = build_coupling(basis, model, 1e-3)
+        rebuilt = CouplingOperator(model=model, strength=1e-3, matrix=w.matrix)
+        assert np.array_equal(rebuilt.vacuum_row, w.vacuum_row)
+        assert np.array_equal(rebuilt.matrix, w.matrix)
+        assert not rebuilt.vacuum_row.flags.writeable
+
+
+def test_coupling_needs_exactly_one_representation():
+    row = np.zeros(3, dtype=complex)
+    with pytest.raises(ValueError):
+        CouplingOperator(model="x", strength=1.0)
+    with pytest.raises(ValueError):
+        CouplingOperator(model="x", strength=1.0, vacuum_row=row,
+                         matrix=np.zeros((3, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_coupling_rejected(bad):
+    basis = build_basis(4)
+    with pytest.raises(ValueError, match="coupling strength"):
+        build_coupling(basis, "star-uniform", bad)
+    with pytest.raises(ValueError, match="coupling strength"):
+        CouplingOperator(model="x", strength=bad, vacuum_row=np.zeros(4, dtype=complex))
+
+    row = np.full(4, 1e-3, dtype=complex)
+    row[0] = 0.0
+    row[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CouplingOperator(model="x", strength=1e-3, vacuum_row=row)
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 2] = m[2, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CouplingOperator(model="x", strength=1e-3, matrix=m)
 
 
 def test_unknown_model_is_configuration_error():
@@ -133,6 +195,12 @@ def test_coupling_structural_validation():
 
     with pytest.raises(ValueError):
         CouplingOperator(model="x", strength=1.0, matrix=np.zeros((2, 3), dtype=complex))
+
+    row = np.full(3, 1e-3, dtype=complex)  # nonzero diagonal element at the vacuum
+    with pytest.raises(ValueError):
+        CouplingOperator(model="x", strength=1.0, vacuum_row=row)
+    with pytest.raises(ValueError):
+        CouplingOperator(model="x", strength=1.0, vacuum_row=np.zeros((2, 2), dtype=complex))
 
 
 def test_drive_config_resonant():

@@ -94,6 +94,44 @@ def test_prepare_rejects_bad_dt(dt, capsys):
     assert "dt must be finite and positive" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "8", "16", "32", "--lambda", "nan"],
+    ["scaling", "8", "16", "32", "--lambda", "inf"],
+    ["prepare", "--target", "6", "--lambda", "inf"],
+])
+def test_non_finite_coupling_strength_rejected(argv, capsys):
+    assert run_cli(argv) == 4
+    assert "coupling strength must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["scaling", "8", "16", "32", "--kappa", "nan"], "kappa"),
+    (["scaling", "8", "16", "32", "--hbar", "nan"], "hbar"),
+    (["scaling", "8", "16", "32", "--omega", "inf"], "omega"),
+    (["prepare", "--target", "6", "--kappa", "nan"], "kappa"),
+    (["spectrum", "--nmax", "8", "--hbar", "inf"], "hbar"),
+])
+def test_non_finite_units_and_kappa_rejected(argv, name, capsys):
+    assert run_cli(argv) == 4
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,runner,size", [
+    (["scaling", "8", "16", "100000"], "run_scaling", "100001 levels"),
+    (["scaling", "8", "16", "--nmax", "50000"], "run_scaling", "50000 levels"),
+    (["prepare", "--target", "6"], "run_prepare", "14 levels"),
+])
+def test_out_of_memory_is_config_error(argv, runner, size, monkeypatch, capsys):
+    def exhausted(**kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, runner, exhausted)
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert "not enough memory" in err and size in err
+
+
 def test_prepare_unknown_model():
     assert run_cli(["prepare", "--target", "6", "--coupling-model", "ring"]) == 4
 

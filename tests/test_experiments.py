@@ -57,6 +57,15 @@ def test_spectrum_csv_layout(tmp_path):
     assert len(lines) == 2 + 6
 
 
+def test_scaling_sweep_reaches_a_million_levels():
+    study = run_scaling([8, 16, 10**6])
+    top = study.records[-1]
+    assert top.label == 10**6
+    expected = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / 10**6)
+    assert abs(top.t_disc - expected) <= 1e-12 * expected
+    assert study.manifest["n_max"] == 10**6 + 1
+
+
 def test_scaling_study_slope_and_ratios():
     study = run_scaling([8, 16, 32, 64, 128], kappa=10.0)
     assert [r.label for r in study.records] == [8, 16, 32, 64, 128]
