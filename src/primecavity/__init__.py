@@ -38,6 +38,7 @@ from .encoding import (
     is_prime,
     level_energy,
     level_spacing,
+    occupation_strings,
     sieve_primes,
     upper_gap,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "level_spacing",
     "max_stable_dt",
     "occupation_probabilities",
+    "occupation_strings",
     "offresonant_envelope",
     "propagate",
     "run_invariant_checks",

@@ -102,6 +102,17 @@ class CouplingOperator:
         for name, value in (("model", model), ("strength", strength), ("vacuum_row", row)):
             object.__setattr__(self, name, value)
 
+    def __eq__(self, other):
+        if not isinstance(other, CouplingOperator):
+            return NotImplemented
+        return (self.model, self.strength) == (other.model, other.strength) and np.array_equal(
+            self.vacuum_row, other.vacuum_row
+        )
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which array_equal already counts as equal
+        return hash((self.model, self.strength, (self.vacuum_row + 0.0).tobytes()))
+
     @property
     def n_max(self) -> int:
         return self.vacuum_row.shape[0]

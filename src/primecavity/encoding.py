@@ -8,7 +8,6 @@ Natural logarithms throughout; omega is a free scale, so the log base only
 rescales it.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,28 @@ from .units import Units
 # unbounded, but everything downstream treats labels as machine integers.
 MAX_COMPOSED = 2**63 - 1
 
-_sieve_limit = 0
-_sieved_primes: list[int] = []
+# Smallest prime factor of 0..len-1 (spf[0] = 0, spf[1] = 1, spf[p] = p for a
+# prime p); grown geometrically and shared by every lookup below. int32 holds
+# every entry up to _SPF_CAP.
+_spf = np.arange(2, dtype=np.int32)
+_SPF_CAP = 2**31 - 1
+_DIVISOR_BLOCK = 4096
+
+# Miller-Rabin with the first 12 primes as bases is exact below
+# 318665857834031151167461 (about 3.2e23), far above MAX_COMPOSED. Smaller n
+# need fewer of them: the first k bases are exact below bound (OEIS A014233).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_BASES_PRODUCT = math.prod(_MILLER_RABIN_BASES)
+_MILLER_RABIN_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
 
 
 def _as_label(n) -> int:
@@ -30,33 +49,56 @@ def _as_label(n) -> int:
     return int(n)
 
 
-def is_prime(n: int) -> bool:
-    n = _as_label(n)
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
+def _spf_table(limit: int) -> np.ndarray:
+    """The cached smallest-prime-factor table, grown to cover 0..limit at least."""
+    global _spf
+    if limit >= len(_spf):
+        if limit > _SPF_CAP:
+            raise MemoryError(f"the smallest-prime-factor table stops at {_SPF_CAP}")
+        size = min(max(limit, 2 * (len(_spf) - 1), 1024), _SPF_CAP) + 1
+        spf = np.zeros(size, dtype=np.int32)
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if not spf[p]:  # no smaller prime divides p
+                multiples = spf[p * p :: p]
+                multiples[multiples == 0] = p
+        unmarked = np.flatnonzero(spf == 0)
+        spf[unmarked] = unmarked  # the primes, plus 0 and 1
+        _spf = spf
+    return _spf
+
+
+def _miller_rabin(n: int) -> bool:
+    """Deterministic primality for n > 37 coprime to every base, n <= MAX_COMPOSED."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    k = next((k for bound, k in _MILLER_RABIN_BOUNDS if n < bound), 12)
+    for a in _MILLER_RABIN_BASES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
 
-def _primes_upto(limit: int) -> list[int]:
-    """Cached Eratosthenes sieve; the cache grows geometrically."""
-    global _sieve_limit, _sieved_primes
-    if limit > _sieve_limit:
-        new_limit = max(limit, 2 * _sieve_limit, 1024)
-        mask = np.ones(new_limit + 1, dtype=bool)
-        mask[:2] = False
-        for p in range(2, math.isqrt(new_limit) + 1):
-            if mask[p]:
-                mask[p * p :: p] = False
-        _sieved_primes = [int(p) for p in np.flatnonzero(mask)]
-        _sieve_limit = new_limit
-    return _sieved_primes[: bisect.bisect_right(_sieved_primes, limit)]
+def is_prime(n: int) -> bool:
+    """Table lookup inside the smallest-prime-factor table, Miller-Rabin above it."""
+    n = _as_label(n)
+    if n < 2:
+        return False
+    if n < len(_spf):
+        return int(_spf[n]) == n
+    if n > MAX_COMPOSED:
+        raise OverflowError(f"{n} exceeds the supported width ({MAX_COMPOSED})")
+    if math.gcd(n, _BASES_PRODUCT) != 1:
+        return n in _MILLER_RABIN_BASES
+    return _miller_rabin(n)
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -64,7 +106,19 @@ def sieve_primes(limit: int) -> list[int]:
     limit = _as_label(limit)
     if limit < 2:
         raise ValueError(f"no primes exist below 2 (got limit={limit})")
-    return list(_primes_upto(limit))
+    return _primes_in(_spf_table(limit), 2, limit)
+
+
+def _primes_in(spf: np.ndarray, lo: int, hi: int) -> list[int]:
+    """Primes in lo..hi (lo >= 2), ascending, read off the table."""
+    candidates = np.arange(lo, hi + 1, dtype=spf.dtype)
+    return candidates[spf[lo : hi + 1] == candidates].tolist()
+
+
+def _trial_divisors(spf: np.ndarray, limit: int):
+    """Primes <= limit, read a block at a time: trial division mostly stops early."""
+    for lo in range(2, limit + 1, _DIVISOR_BLOCK):
+        yield from _primes_in(spf, lo, min(lo + _DIVISOR_BLOCK - 1, limit))
 
 
 @dataclass(frozen=True)
@@ -115,25 +169,39 @@ def compose(occ: OccupationVector) -> int:
 
 
 def factorize(n: int) -> OccupationVector:
-    """Prime factorization of n as an occupation vector (sieve-backed trial division)."""
+    """Prime factorization of n as an occupation vector.
+
+    Grows the smallest-prime-factor table to sqrt(n); follows its chain when n
+    lies inside the table and trial-divides by the primes up to sqrt(n) otherwise.
+    """
     n = _as_label(n)
     if n < 1:
         raise ValueError(f"only positive integers encode cavity states (got {n})")
     if n > MAX_COMPOSED:
         raise OverflowError(f"{n} exceeds the supported width ({MAX_COMPOSED})")
+    root = math.isqrt(n)
+    spf = _spf_table(root)
     entries = []
     rest = n
-    for q in _primes_upto(max(2, math.isqrt(n))):
-        if q * q > rest:
-            break
-        m = 0
-        while rest % q == 0:
-            rest //= q
-            m += 1
-        if m:
+    if n < len(spf):
+        while rest > 1:
+            q, m = int(spf[rest]), 0
+            while rest % q == 0:
+                rest //= q
+                m += 1
             entries.append((q, m))
-    if rest > 1:
-        entries.append((rest, 1))
+    else:
+        for q in _trial_divisors(spf, root):
+            if q * q > rest:
+                break
+            m = 0
+            while rest % q == 0:
+                rest //= q
+                m += 1
+            if m:
+                entries.append((q, m))
+        if rest > 1:
+            entries.append((rest, 1))
     return OccupationVector(tuple(entries))
 
 
@@ -142,6 +210,33 @@ def format_occupation(occ: OccupationVector) -> str:
     if occ.is_vacuum:
         return "1"
     return "*".join(f"{q}^{m}" if m > 1 else str(q) for q, m in occ.entries)
+
+
+def occupation_strings(n_max: int) -> list[str]:
+    """format_occupation(factorize(n)) for n = 1..n_max, at position n - 1.
+
+    One pass over the smallest-prime-factor table: with q = spf[n] and q^m the
+    full power of q in n, s[n] = head(q^m) + "*" + s[n / q^m].
+    """
+    n_max = _as_label(n_max)
+    if n_max < 1:
+        raise ValueError(f"labels start at 1 (got n_max={n_max})")
+    spf = _spf_table(n_max)[: n_max + 1].tolist()
+    strings = ["", "1"]  # slot 0 is padding
+    power = [0, 0]  # exponent m of spf[n] in n
+    cofactor = [0, 1]  # n / spf[n]^m
+    for n in range(2, n_max + 1):
+        q = spf[n]
+        r = n // q
+        if spf[r] == q:
+            m, c = power[r] + 1, cofactor[r]
+        else:
+            m, c = 1, r
+        power.append(m)
+        cofactor.append(c)
+        head = f"{q}^{m}" if m > 1 else str(q)
+        strings.append(head if c == 1 else f"{head}*{strings[c]}")
+    return strings[1 : n_max + 1]
 
 
 def level_energy(n: int, units: Units = Units()) -> float:

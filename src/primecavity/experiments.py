@@ -32,7 +32,13 @@ from .dynamics import (
     step_count,
     vacuum_state,
 )
-from .encoding import compose, factorize, format_occupation, level_energy, upper_gap
+from .encoding import (
+    compose,
+    factorize,
+    format_occupation,
+    level_energy,
+    occupation_strings,
+)
 from .errors import ConfigurationError
 from .perturbation import (
     FIRST_ORDER_LIMIT,
@@ -63,16 +69,18 @@ class SpectrumRow:
 
 
 def run_spectrum(n_max: int, units: Units = Units()) -> list[SpectrumRow]:
-    """One row per level: label, factorization string, E_N, gap to the next level."""
+    """One row per level: label, factorization string, E_N, gap to the next level.
+
+    Factorizations come from one smallest-prime-factor table; the gap is
+    upper_gap's expression, so every row matches the per-label functions.
+    """
     basis = build_basis(n_max, units)
+    scale = units.energy_scale
     return [
-        SpectrumRow(
-            label=n,
-            factors=format_occupation(basis.occupation(n)),
-            energy=basis.energy(n),
-            gap=upper_gap(n, units),
+        SpectrumRow(label=n, factors=factors, energy=energy, gap=scale * math.log1p(1.0 / n))
+        for n, factors, energy in zip(
+            basis.labels, occupation_strings(n_max), basis.energy_vector.tolist()
         )
-        for n in basis.labels
     ]
 
 
@@ -89,7 +97,7 @@ def spectrum_manifest(n_max: int, units: Units) -> dict:
 def spectrum_csv_text(rows: list[SpectrumRow], manifest: dict) -> str:
     lines = [f"# manifest: {json.dumps(manifest)}", "N,factors,energy,gap"]
     for r in rows:
-        lines.append(f"{r.label},{r.factors},{_fmt(r.energy)},{_fmt(r.gap)}")
+        lines.append(f"{r.label},{r.factors},{r.energy:.17g},{r.gap:.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -31,6 +31,8 @@ FIRST_ORDER_LIMIT = 0.1
 # grid resolution for the instantaneous-mode scan: the nearest-neighbor beat
 # period must be resolved
 _SCAN_POINTS_PER_PERIOD = 64
+# competitors per block of that scan, which bounds its memory at O(block x grid)
+_SCAN_BLOCK_ROWS = 1024
 
 
 def _detunings(labels, target: int, units: Units):
@@ -178,11 +180,16 @@ def discrimination_time(
     period = 2.0 * math.pi / (basis.units.omega * math.log1p(1.0 / target))
     step = period / _SCAN_POINTS_PER_PERIOD
     times = np.arange(0.0, t_envelope + period + 2 * step, step)
-    # first-order p_M(t) of every competitor on the grid, one row per level
-    phase = 0.5 * np.outer(delta, times)
-    comp = (mags[:, None] / basis.units.hbar) ** 2 * np.sin(phase) ** 2 / delta[:, None] ** 2
+    # largest first-order p_M(t) over the competitors on the grid, one block of
+    # levels (rows) at a time; max is exact, so blocking changes no bit
+    worst_p = np.zeros_like(times)  # probabilities are non-negative
+    for lo in range(0, len(delta), _SCAN_BLOCK_ROWS):
+        d = delta[lo : lo + _SCAN_BLOCK_ROWS, None]
+        w = mags[lo : lo + _SCAN_BLOCK_ROWS, None]
+        comp = (w / basis.units.hbar) ** 2 * np.sin(0.5 * (d * times)) ** 2 / d**2
+        np.maximum(worst_p, comp.max(axis=0), out=worst_p)
     p_target = (w_target * times / (2.0 * basis.units.hbar)) ** 2
-    ok = (p_target >= kappa * comp.max(axis=0)) & (p_target > 0.0)
+    ok = (p_target >= kappa * worst_p) & (p_target > 0.0)
     window = _SCAN_POINTS_PER_PERIOD + 1
     for i in np.flatnonzero(ok):
         if i + window > len(ok):

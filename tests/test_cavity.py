@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import primecavity.cavity
+import primecavity.encoding
 from primecavity import (
     ConfigurationError,
     CouplingOperator,
@@ -14,6 +15,7 @@ from primecavity import (
     build_coupling,
     factorize,
     level_energy,
+    run_scaling,
     verify_reachability,
     write_matrix_csv,
 )
@@ -54,6 +56,13 @@ def test_basis_factors_labels_only_on_demand(monkeypatch):
     assert calls == []
     assert basis.occupation(12).as_dict() == {2: 2, 3: 1}
     assert calls == [12]
+
+
+def test_scaling_sweep_leaves_the_factor_table_alone(monkeypatch):
+    empty = np.arange(2, dtype=np.int32)
+    monkeypatch.setattr(primecavity.encoding, "_spf", empty)
+    run_scaling([8, 16, 10**6])
+    assert primecavity.encoding._spf is empty
 
 
 def test_basis_energies_match_level_energy():
@@ -233,3 +242,27 @@ def test_write_matrix_csv_roundtrip(tmp_path):
         [[complex(float(r[2 * j]), float(r[2 * j + 1])) for j in range(3)] for r in rows]
     )
     assert np.array_equal(rebuilt, w.matrix)
+
+
+def test_coupling_equality_and_hash():
+    basis = build_basis(16)
+    a = build_coupling(basis, "star-uniform", 1e-3)
+    b = build_coupling(basis, "star-uniform", 1e-3)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != build_coupling(basis, "star-uniform", 2e-3)
+    assert a != build_coupling(basis, "star-decay", 1e-3)
+    assert a != build_coupling(build_basis(17), "star-uniform", 1e-3)
+    assert a != CouplingOperator("star-decay", 1e-3, a.vacuum_row)  # same row, other model
+    assert a != "star-uniform"
+
+
+def test_coupling_hash_ignores_the_sign_of_zero():
+    row = np.array([0, 0.5, 0.25], dtype=complex)
+    signed = row.copy()
+    signed[0] = complex(-0.0, -0.0)
+    a = CouplingOperator("custom", 0.5, row)
+    b = CouplingOperator("custom", 0.5, signed)
+    assert a == b
+    assert hash(a) == hash(b)

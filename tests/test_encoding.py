@@ -1,8 +1,13 @@
 import math
+import time
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import primecavity.encoding as encoding
 from primecavity import (
     MAX_COMPOSED,
     OccupationVector,
@@ -14,6 +19,7 @@ from primecavity import (
     is_prime,
     level_energy,
     level_spacing,
+    occupation_strings,
     sieve_primes,
     upper_gap,
 )
@@ -24,6 +30,17 @@ from helpers import naive_factor
 LN2 = 0.6931471805599453
 LN_3_OVER_2 = 0.4054651081081644
 GAP_AT_1000 = 9.995003330835331e-4
+
+
+@contextmanager
+def empty_spf_table():
+    """Run with an empty smallest-prime-factor table; the cached one comes back after."""
+    saved = encoding._spf
+    encoding._spf = np.arange(2, dtype=np.int32)
+    try:
+        yield
+    finally:
+        encoding._spf = saved
 
 
 def test_sieve_small_examples():
@@ -185,3 +202,114 @@ def test_spectrum_table_is_readonly():
 def test_spectrum_units_scaling():
     table = SpectrumTable.build(100, Units(hbar=2.0, omega=0.5))
     assert table.energy(10) == pytest.approx(math.log(10), rel=1e-15)
+
+
+def test_spf_table_holds_smallest_prime_factors():
+    spf = encoding._spf_table(5000)
+    assert spf.dtype == np.int32
+    assert spf[0] == 0 and spf[1] == 1
+    for n in range(2, 5001):
+        assert spf[n] == naive_factor(n)[0][0]
+
+
+def test_spf_table_growth():
+    with empty_spf_table():
+        assert len(encoding._spf_table(5)) == 1025  # never smaller than 1024
+        sieve_primes(5000)
+        assert len(encoding._spf) == 5001  # sieve_primes fills to its limit
+        sieve_primes(6000)
+        assert len(encoding._spf) == 10001  # growth is geometric
+        factorize(10**7 + 19)
+        assert len(encoding._spf) == 10001  # factorize needs only sqrt(n)
+        factorize(10**10 + 19)
+        assert len(encoding._spf) == 100_001
+        assert is_prime(10**12 + 39) and len(encoding._spf) == 100_001  # is_prime never grows it
+
+
+def test_is_prime_agrees_with_spf_table_to_a_million():
+    table = encoding._spf_table(10**6)
+    labels = np.arange(2, 10**6 + 1)
+    expected = (table[2 : 10**6 + 1] == labels).tolist()
+    with empty_spf_table():  # every n lies above the table: Miller-Rabin
+        assert [is_prime(n) for n in range(2, 10**6 + 1)] == expected
+
+
+# smallest strong pseudoprime to the first k prime bases, k = 1, 2, 3, 4, 5, 6, 7, 9
+# (OEIS A014233): each sits exactly at a bound where one more base takes over
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+
+
+@pytest.mark.parametrize("table", ["cached", "empty"])
+def test_is_prime_rejects_pseudoprimes(table):
+    encoding._spf_table(5000)
+    with empty_spf_table() if table == "empty" else nullcontext():
+        assert not is_prime(561)  # Carmichael number
+        for n in STRONG_PSEUDOPRIMES:
+            assert not is_prime(n), n
+        assert is_prime(2**31 - 1) and is_prime(1000003)
+        assert not is_prime(1000003 * 1000033)
+        assert is_prime(MAX_COMPOSED - 24)  # the largest prime below 2^63
+
+
+def test_occupation_strings_rejects_empty_range():
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            occupation_strings(bad)
+
+
+def test_is_prime_rejects_labels_past_the_width():
+    with pytest.raises(OverflowError):
+        is_prime(MAX_COMPOSED + 2)
+
+
+def test_is_prime_mersenne_61_is_fast():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert OccupationVector(((2**61 - 1, 1),)).as_dict() == {2**61 - 1: 1}
+    assert time.perf_counter() - start < 0.5
+
+
+def test_occupation_strings_match_per_label_formatting():
+    assert occupation_strings(1) == ["1"]
+    assert occupation_strings(12)[-1] == "2^2*3"
+    strings = occupation_strings(20_000)
+    assert strings == [format_occupation(factorize(n)) for n in range(1, 20_001)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3000))
+def test_occupation_strings_prefix_property(n_max):
+    encoding._spf_table(3000)  # a table longer than n_max must not leak into the result
+    strings = occupation_strings(n_max)
+    assert len(strings) == n_max
+    assert strings == [format_occupation(factorize(n)) for n in range(1, n_max + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**6))
+def test_spf_chain_and_trial_division_agree_with_oracle(n):
+    encoding._spf_table(10**6)
+    chained = factorize(n)  # n lies inside the table
+    with empty_spf_table():
+        divided = factorize(n)  # the table grows only to sqrt(n), so n > 1024 lies above it
+    assert chained == divided
+    assert list(chained.entries) == naive_factor(n)
+    assert compose(chained) == n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 10**12))
+def test_factorize_compose_roundtrip_large(n):
+    occ = factorize(n)
+    assert compose(occ) == n
+    assert list(occ.entries) == naive_factor(n)
+    assert is_prime(n) == (occ.entries == ((n, 1),))

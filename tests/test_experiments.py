@@ -6,16 +6,21 @@ import pytest
 from primecavity import (
     ConfigurationError,
     ScalingRecord,
+    SpectrumRow,
     Units,
+    build_basis,
     fit_loglog,
+    format_occupation,
     run_prepare,
     run_scaling,
     run_spectrum,
+    upper_gap,
 )
 from primecavity.experiments import (
     prepare_report_dict,
     read_scaling_csv,
     scaling_study_dict,
+    spectrum_csv_text,
     spectrum_manifest,
     write_gnuplot_script,
     write_prepare_csv,
@@ -55,6 +60,32 @@ def test_spectrum_csv_layout(tmp_path):
     assert json.loads(lines[0][len("# manifest: "):]) == manifest
     assert lines[1] == "N,factors,energy,gap"
     assert len(lines) == 2 + 6
+
+
+def test_spectrum_rows_match_per_label_construction():
+    units = Units(hbar=1.3, omega=0.7)
+    basis = build_basis(3000, units)
+    expected = [
+        SpectrumRow(
+            label=n,
+            factors=format_occupation(basis.occupation(n)),
+            energy=basis.energy(n),
+            gap=upper_gap(n, units),
+        )
+        for n in basis.labels
+    ]
+    assert run_spectrum(3000, units) == expected
+
+
+def test_spectrum_csv_floats_reimport_bit_exactly():
+    units = Units(hbar=1.3, omega=0.7)
+    rows = run_spectrum(500, units)
+    lines = spectrum_csv_text(rows, spectrum_manifest(500, units)).splitlines()[2:]
+    for row, line in zip(rows, lines, strict=True):
+        label, factors, energy, gap = line.split(",")
+        assert (int(label), factors, float(energy), float(gap)) == (
+            row.label, row.factors, row.energy, row.gap
+        )
 
 
 def test_scaling_sweep_reaches_a_million_levels():

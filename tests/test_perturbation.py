@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import primecavity.perturbation
 from primecavity import (
     ConfigurationError,
     Units,
@@ -212,6 +214,31 @@ def test_discrimination_time_instantaneous_mode():
             excitation_probability(m, 8, float(t), w) for m in range(2, 33) if m != 8
         )
         assert p_target >= 10.0 * worst * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("model", ["star-uniform", "star-decay"])
+@pytest.mark.parametrize("n", [600, 5000])
+def test_instantaneous_scan_blocking_is_bit_identical(monkeypatch, model, n):
+    basis = build_basis(2 * n + 2)  # the nearest neighbours sit in an inner block
+    coupling = build_coupling(basis, model, 1e-3)
+    blocked = discrimination_time(n, basis, coupling, mode="instantaneous")
+    monkeypatch.setattr(primecavity.perturbation, "_SCAN_BLOCK_ROWS", 7)
+    assert discrimination_time(n, basis, coupling, mode="instantaneous") == blocked
+    monkeypatch.setattr(primecavity.perturbation, "_SCAN_BLOCK_ROWS", 2 * n)  # one block
+    assert discrimination_time(n, basis, coupling, mode="instantaneous") == blocked
+
+
+def test_instantaneous_scan_memory_is_bounded():
+    basis = build_basis(20_001)
+    coupling = build_coupling(basis, "star-uniform", 1e-3)
+    tracemalloc.start()
+    try:
+        discrimination_time(20_000, basis, coupling, mode="instantaneous")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (competitors x grid) array at this size is 20 MB; blocks keep the peak small
+    assert peak < 8e6
 
 
 def test_discrimination_time_domain_errors():
