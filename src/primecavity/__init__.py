@@ -31,13 +31,11 @@ from .dynamics import (
 from .encoding import (
     MAX_COMPOSED,
     OccupationVector,
-    SpectrumTable,
     compose,
     factorize,
     format_occupation,
     is_prime,
     level_energy,
-    level_spacing,
     occupation_strings,
     sieve_primes,
     upper_gap,
@@ -48,7 +46,7 @@ from .experiments import (
     PrepareReport,
     ScalingRecord,
     ScalingStudy,
-    SpectrumRow,
+    SpectrumColumns,
     fit_loglog,
     run_invariant_checks,
     run_prepare,
@@ -82,8 +80,7 @@ __all__ = [
     "PropagationError",
     "ScalingRecord",
     "ScalingStudy",
-    "SpectrumRow",
-    "SpectrumTable",
+    "SpectrumColumns",
     "Trajectory",
     "Units",
     "WaveFunction",
@@ -99,7 +96,6 @@ __all__ = [
     "format_occupation",
     "is_prime",
     "level_energy",
-    "level_spacing",
     "max_stable_dt",
     "occupation_probabilities",
     "occupation_strings",

@@ -13,11 +13,12 @@ threads; construction itself is single-threaded.
 
 import csv
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import OccupationVector, SpectrumTable, factorize
+from .encoding import OccupationVector, factorize
 from .errors import ConfigurationError
 from .units import Units
 
@@ -26,15 +27,23 @@ COUPLING_MODELS = ("star-uniform", "star-decay")
 
 @dataclass(frozen=True)
 class CavityBasis:
-    """Labels 1..n_max with their level energies; occupations are factored on demand."""
+    """Labels 1..n_max with their level energies; occupations are factored on demand.
+
+    energy_vector is the Hamiltonian's diagonal, read-only, with position i
+    holding E_{i+1} = hbar*omega*log(i+1): the vacuum sits exactly at zero and
+    the ladder is strictly increasing by unique factorization.
+    """
 
     n_max: int
     units: Units
-    spectrum: SpectrumTable
+    energy_vector: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def dimension(self) -> int:
-        return self.n_max
+    def __post_init__(self):
+        if operator.index(self.n_max) < 2:
+            raise ValueError(f"need the vacuum plus one excited level (got n_max={self.n_max})")
+        e = self.units.energy_scale * np.log(np.arange(1, self.n_max + 1, dtype=float))
+        e.setflags(write=False)
+        object.__setattr__(self, "energy_vector", e)
 
     @property
     def labels(self) -> range:
@@ -46,21 +55,16 @@ class CavityBasis:
         return factorize(label)
 
     def energy(self, label: int) -> float:
-        return self.spectrum.energy(label)
-
-    @property
-    def energy_vector(self) -> np.ndarray:
-        """Diagonal of the Hamiltonian; position i holds E_{i+1}."""
-        return self.spectrum.energies[1:]
+        if not 1 <= label <= self.n_max:
+            raise ValueError(f"label {label} outside 1..{self.n_max}")
+        return float(self.energy_vector[label - 1])
 
 
 def build_basis(n_max: int, units: Units = Units()) -> CavityBasis:
     """Basis over 1..n_max. Pick n_max >= 2*target for dynamics: off-resonant
     amplitudes fall as 1/detuning^2, so that margin controls truncation error.
     """
-    if n_max < 2:
-        raise ValueError(f"need the vacuum plus one excited level (got n_max={n_max})")
-    return CavityBasis(n_max=n_max, units=units, spectrum=SpectrumTable.build(n_max, units))
+    return CavityBasis(n_max, units)
 
 
 @dataclass(frozen=True, init=False)

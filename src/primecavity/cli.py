@@ -21,7 +21,8 @@ from .experiments import (
     run_spectrum,
     scaling_csv_text,
     scaling_study_dict,
-    spectrum_csv_text,
+    spectrum_csv_lines,
+    spectrum_dict,
     spectrum_manifest,
     write_gnuplot_script,
     write_prepare_csv,
@@ -120,23 +121,15 @@ def _emit(text: str, out: Path | None) -> None:
 
 def _cmd_spectrum(args) -> int:
     units = _units(args)
-    rows = run_spectrum(args.nmax, units)
+    columns = run_spectrum(args.nmax, units)
     manifest = spectrum_manifest(args.nmax, units)
     if args.format == "json":
-        payload = {
-            "schema_version": manifest["schema_version"],
-            "config": manifest,
-            "rows": [
-                {"N": r.label, "factors": r.factors, "energy": r.energy, "gap": r.gap}
-                for r in rows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps(spectrum_dict(columns, manifest), indent=2) + "\n", args.out)
         return 0
     if args.out is None:
-        sys.stdout.write(spectrum_csv_text(rows, manifest))
+        sys.stdout.writelines(spectrum_csv_lines(columns, manifest))
         return 0
-    write_spectrum_csv(rows, manifest, args.out)
+    write_spectrum_csv(columns, manifest, args.out)
     if args.gnuplot_script:
         write_gnuplot_script(args.out, "spectrum")
     return 0
@@ -191,6 +184,10 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.nmax < 2:
+        raise ConfigurationError(
+            f"--nmax must be at least 2, the vacuum plus one excited level (got {args.nmax})"
+        )
     results = run_invariant_checks(n_max=args.nmax)
     failed = 0
     for name, ok, detail in results:

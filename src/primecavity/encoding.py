@@ -248,51 +248,12 @@ def level_energy(n: int, units: Units = Units()) -> float:
 
 
 def upper_gap(n: int, units: Units = Units()) -> float:
-    """E_{N+1} - E_N = hbar*omega*log((N+1)/N), via log1p to keep full precision."""
+    """E_{N+1} - E_N = hbar*omega*log((N+1)/N), via log1p to keep full precision.
+
+    For N >= 2 this is also the distance to the nearest neighbour, since the
+    lower gap is always the larger; N*upper_gap(N)/(hbar*omega) -> 1 from below.
+    """
     n = _as_label(n)
     if n < 1:
         raise ValueError(f"labels start at 1 (got {n})")
     return units.energy_scale * math.log1p(1.0 / n)
-
-
-def level_spacing(n: int, units: Units = Units()) -> float:
-    """Distance from E_N to its nearest neighbor, about hbar*omega/N.
-
-    The upper gap log((N+1)/N) is always smaller than the lower one, so the
-    minimum is closed-form. N*level_spacing(N)/(hbar*omega) -> 1 from below.
-    Requires N >= 2: the vacuum has no lower neighbor.
-    """
-    n = _as_label(n)
-    if n < 2:
-        raise ValueError("level spacing needs both neighbors; the vacuum has none below")
-    return upper_gap(n, units)
-
-
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Level energies for N = 1..n_max; energies[N] holds E_N (slot 0 is NaN padding).
-
-    Strictly increasing by unique factorization; degeneracy questions are
-    integer questions about the labels, never float comparisons.
-    """
-
-    n_max: int
-    units: Units
-    energies: np.ndarray
-
-    @classmethod
-    def build(cls, n_max: int, units: Units = Units()) -> "SpectrumTable":
-        n_max = _as_label(n_max)
-        if n_max < 1:
-            raise ValueError(f"spectrum needs at least the vacuum (got n_max={n_max})")
-        e = np.empty(n_max + 1)
-        e[0] = np.nan
-        e[1:] = units.energy_scale * np.log(np.arange(1, n_max + 1, dtype=float))
-        e.setflags(write=False)
-        return cls(n_max=n_max, units=units, energies=e)
-
-    def energy(self, n: int) -> float:
-        n = _as_label(n)
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"label {n} outside 1..{self.n_max}")
-        return float(self.energies[n])

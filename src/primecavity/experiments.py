@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,28 +61,29 @@ def _fmt(x: float) -> str:
 # spectrum
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
-    label: int
-    factors: str
-    energy: float
-    gap: float
+class SpectrumColumns(NamedTuple):
+    """The level table as equal-length columns; position n - 1 holds label n."""
+
+    labels: range
+    factors: list[str]
+    energies: list[float]
+    gaps: list[float]
 
 
-def run_spectrum(n_max: int, units: Units = Units()) -> list[SpectrumRow]:
-    """One row per level: label, factorization string, E_N, gap to the next level.
+def run_spectrum(n_max: int, units: Units = Units()) -> SpectrumColumns:
+    """Label, factorization string, E_N and the gap to the next level, per level.
 
     Factorizations come from one smallest-prime-factor table; the gap is
-    upper_gap's expression, so every row matches the per-label functions.
+    upper_gap's expression, so every entry matches the per-label functions.
     """
     basis = build_basis(n_max, units)
     scale = units.energy_scale
-    return [
-        SpectrumRow(label=n, factors=factors, energy=energy, gap=scale * math.log1p(1.0 / n))
-        for n, factors, energy in zip(
-            basis.labels, occupation_strings(n_max), basis.energy_vector.tolist()
-        )
-    ]
+    return SpectrumColumns(
+        labels=basis.labels,
+        factors=occupation_strings(n_max),
+        energies=basis.energy_vector.tolist(),
+        gaps=[scale * math.log1p(1.0 / n) for n in basis.labels],
+    )
 
 
 def spectrum_manifest(n_max: int, units: Units) -> dict:
@@ -94,16 +96,26 @@ def spectrum_manifest(n_max: int, units: Units) -> dict:
     }
 
 
-def spectrum_csv_text(rows: list[SpectrumRow], manifest: dict) -> str:
-    lines = [f"# manifest: {json.dumps(manifest)}", "N,factors,energy,gap"]
-    for r in rows:
-        lines.append(f"{r.label},{r.factors},{r.energy:.17g},{r.gap:.17g}")
-    return "\n".join(lines) + "\n"
+def spectrum_csv_lines(columns: SpectrumColumns, manifest: dict):
+    """The spectrum CSV one line at a time, so a writer can stream it."""
+    yield f"# manifest: {json.dumps(manifest)}\n"
+    yield "N,factors,energy,gap\n"
+    yield from map("%d,%s,%.17g,%.17g\n".__mod__, zip(*columns))
 
 
-def write_spectrum_csv(rows: list[SpectrumRow], manifest: dict, path) -> None:
+def write_spectrum_csv(columns: SpectrumColumns, manifest: dict, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(spectrum_csv_text(rows, manifest))
+        fh.writelines(spectrum_csv_lines(columns, manifest))
+
+
+def spectrum_dict(columns: SpectrumColumns, manifest: dict) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": manifest,
+        "rows": [
+            {"N": n, "factors": f, "energy": e, "gap": g} for n, f, e, g in zip(*columns)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +170,10 @@ def run_prepare(
         raise ConfigurationError(
             f"truncation rule requires n_max >= 2*target ({2 * target}), got {n_max}"
         )
-    if shots < 1:
-        raise ConfigurationError("shots must be >= 1")
+    if not 1 <= shots <= 2**63 - 1:
+        raise ConfigurationError(f"shots must be in 1..2**63-1 (got {shots})")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative (got {seed})")
 
     basis = build_basis(n_max, units)
     coupling = build_coupling(basis, model, strength)
@@ -492,6 +506,8 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
         try:
             detail = fn() or ""
             results.append((name, True, detail))
+        except MemoryError:
+            raise  # a basis too large for memory is a configuration error, not a failure
         except Exception as exc:  # noqa: BLE001 - report, never crash the battery
             results.append((name, False, f"{type(exc).__name__}: {exc}"))
 

@@ -149,6 +149,11 @@ def discrimination_time(
     instantaneous mode: first grid time from which p_target >= kappa * max_M
     p_M(t) holds throughout one full nearest-neighbor beat period, with the
     grid resolving that period to 1/64. Never later than the envelope answer.
+    The scan never returns a time before half a nearest-neighbor beat,
+    t >= pi/(omega*log1p(1/N)): the nearest competitor cannot be told apart
+    from the target sooner (the time-energy limit), and for small kappa the
+    first-order dominance would otherwise hold from the first grid point.
+    With that floor t_disc*E_N stays above hbar*N*log(N) for every kappa.
     """
     if not (math.isfinite(kappa) and kappa >= 1):
         raise ValueError(f"kappa must be finite and >= 1 (got {kappa})")
@@ -190,6 +195,7 @@ def discrimination_time(
         np.maximum(worst_p, comp.max(axis=0), out=worst_p)
     p_target = (w_target * times / (2.0 * basis.units.hbar)) ** 2
     ok = (p_target >= kappa * worst_p) & (p_target > 0.0)
+    ok[: _SCAN_POINTS_PER_PERIOD // 2] = False  # the half-beat floor
     window = _SCAN_POINTS_PER_PERIOD + 1
     for i in np.flatnonzero(ok):
         if i + window > len(ok):

@@ -24,7 +24,6 @@ from primecavity import (
     excitation_probability,
     factorize,
     format_occupation,
-    level_spacing,
     max_stable_dt,
     occupation_probabilities,
     offresonant_envelope,
@@ -79,7 +78,7 @@ def test_criterion_2_spectrum_nondegeneracy():
     assert abs(min_gap - MIN_GAP_5000) <= 1e-12 * MIN_GAP_5000
 
     n = np.arange(2, 5001, dtype=float)
-    scaled = np.array([lvl * level_spacing(int(lvl)) for lvl in n])
+    scaled = np.array([lvl * upper_gap(int(lvl)) for lvl in n])
     assert np.all(scaled < 1.0)
     assert np.all(scaled > 1.0 - 1.0 / n)
     _report(2, True, f"5000 levels strictly increasing, min gap {min_gap:.9e}")

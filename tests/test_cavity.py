@@ -23,12 +23,20 @@ from primecavity import (
 
 def test_build_basis_four_levels():
     basis = build_basis(4)
-    assert basis.dimension == 4
+    assert basis.n_max == 4
     assert list(basis.labels) == [1, 2, 3, 4]
     expected = [0.0, math.log(2), math.log(3), math.log(4)]
     assert np.allclose(basis.energy_vector, expected, rtol=1e-15, atol=0)
     assert basis.occupation(4).as_dict() == {2: 2}
     assert basis.occupation(1).is_vacuum
+
+
+def test_basis_equality_follows_size_and_units():
+    units = Units(hbar=1.3, omega=0.7)
+    assert build_basis(10, units) == build_basis(10, units)
+    assert hash(build_basis(10, units)) == hash(build_basis(10, units))
+    assert build_basis(10, units) != build_basis(11, units)
+    assert build_basis(10, units) != build_basis(10)
 
 
 def test_build_basis_rejects_tiny():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import primecavity.experiments
 from primecavity import cli
 from primecavity.experiments import PrepareReport
 
@@ -49,6 +50,17 @@ def test_spectrum_json(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["schema_version"] == 1
     assert payload["rows"][11]["factors"] == "2^2*3"
+
+
+@pytest.mark.parametrize("nmax", ["2", "3000"])
+def test_spectrum_stdout_bytes_equal_out_file(nmax, tmp_path, capsys):
+    argv = ["spectrum", "--nmax", nmax, "--hbar", "1.3", "--omega", "0.7"]
+    assert run_cli(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "levels.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert stdout == out.read_bytes()
+    assert stdout.count(b"\n") == 2 + int(nmax)
 
 
 def test_spectrum_nmax_too_small():
@@ -132,6 +144,16 @@ def test_out_of_memory_is_config_error(argv, runner, size, monkeypatch, capsys):
     assert "not enough memory" in err and size in err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", "-1", "seed must be non-negative"),
+    ("--shots", "0", "shots must be in 1..2**63-1"),
+    ("--shots", "100000000000000000000", "shots must be in 1..2**63-1"),
+])
+def test_prepare_bad_seed_or_shots_names_the_argument(flag, value, message, capsys):
+    assert run_cli(["prepare", "--target", "6", flag, value]) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_prepare_unknown_model():
     assert run_cli(["prepare", "--target", "6", "--coupling-model", "ring"]) == 4
 
@@ -191,6 +213,24 @@ def test_check_command(capsys):
     out = capsys.readouterr().out
     assert "10/10 invariants hold" in out
     assert "FAIL" not in out
+
+
+def test_check_rejects_a_basis_without_an_excited_level(capsys):
+    assert run_cli(["check", "--nmax", "1"]) == 4
+    captured = capsys.readouterr()
+    assert "--nmax must be at least 2" in captured.err
+    assert "invariants hold" not in captured.out
+
+
+def test_check_out_of_memory_is_config_error(monkeypatch, capsys):
+    def exhausted(n_max, units=None):
+        raise MemoryError
+
+    monkeypatch.setattr(primecavity.experiments, "build_basis", exhausted)
+    assert run_cli(["check", "--nmax", "100000000000"]) == 4
+    captured = capsys.readouterr()
+    assert "not enough memory for a basis of 100000000000 levels" in captured.err
+    assert "FAIL" not in captured.out
 
 
 def test_module_entry_point_version():

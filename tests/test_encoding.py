@@ -11,14 +11,13 @@ import primecavity.encoding as encoding
 from primecavity import (
     MAX_COMPOSED,
     OccupationVector,
-    SpectrumTable,
     Units,
+    build_basis,
     compose,
     factorize,
     format_occupation,
     is_prime,
     level_energy,
-    level_spacing,
     occupation_strings,
     sieve_primes,
     upper_gap,
@@ -152,17 +151,15 @@ def test_level_energy_values():
 
 
 def test_level_spacing_values():
-    assert math.isclose(level_spacing(1000), GAP_AT_1000, rel_tol=1e-14)
-    assert math.isclose(level_spacing(2), LN_3_OVER_2, rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        level_spacing(1)
+    assert math.isclose(upper_gap(1000), GAP_AT_1000, rel_tol=1e-14)
+    assert math.isclose(upper_gap(2), LN_3_OVER_2, rel_tol=1e-14)
 
 
 def test_level_spacing_is_upper_gap():
+    # the nearest-neighbour spacing of N >= 2 is its upper gap: the lower gap
+    # is always the larger of the two
     for n in (2, 3, 10, 999):
-        assert level_spacing(n) == upper_gap(n)
-        # the lower gap is always the larger of the two
-        assert level_spacing(n) < math.log(n) - math.log(n - 1)
+        assert upper_gap(n) < math.log(n) - math.log(n - 1)
 
 
 def test_scaled_spacing_bounds():
@@ -182,26 +179,28 @@ def test_occupation_energy_identity():
 
 
 def test_spectrum_table():
-    table = SpectrumTable.build(5000)
-    assert table.energies[1] == 0.0  # vacuum exactly at zero
-    assert np.isnan(table.energies[0])  # slot 0 is padding
-    assert np.all(np.diff(table.energies[1:]) > 0)
-    assert table.energy(2) == pytest.approx(LN2, rel=1e-15)
+    basis = build_basis(5000)
+    assert basis.energy_vector[0] == 0.0  # vacuum exactly at zero
+    assert len(basis.energy_vector) == 5000  # no padding slot
+    assert np.all(np.diff(basis.energy_vector) > 0)
+    assert basis.energy(2) == pytest.approx(LN2, rel=1e-15)
     with pytest.raises(ValueError):
-        table.energy(5001)
+        basis.energy(5001)
     with pytest.raises(ValueError):
-        SpectrumTable.build(0)
+        basis.energy(0)
+    with pytest.raises(ValueError):
+        build_basis(0)
 
 
 def test_spectrum_table_is_readonly():
-    table = SpectrumTable.build(10)
+    basis = build_basis(10)
     with pytest.raises(ValueError):
-        table.energies[3] = 0.0
+        basis.energy_vector[3] = 0.0
 
 
 def test_spectrum_units_scaling():
-    table = SpectrumTable.build(100, Units(hbar=2.0, omega=0.5))
-    assert table.energy(10) == pytest.approx(math.log(10), rel=1e-15)
+    basis = build_basis(100, Units(hbar=2.0, omega=0.5))
+    assert basis.energy(10) == pytest.approx(math.log(10), rel=1e-15)
 
 
 def test_spf_table_holds_smallest_prime_factors():

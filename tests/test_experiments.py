@@ -6,7 +6,6 @@ import pytest
 from primecavity import (
     ConfigurationError,
     ScalingRecord,
-    SpectrumRow,
     Units,
     build_basis,
     fit_loglog,
@@ -20,7 +19,8 @@ from primecavity.experiments import (
     prepare_report_dict,
     read_scaling_csv,
     scaling_study_dict,
-    spectrum_csv_text,
+    spectrum_csv_lines,
+    spectrum_dict,
     spectrum_manifest,
     write_gnuplot_script,
     write_prepare_csv,
@@ -34,27 +34,26 @@ TWO_SQRT_10 = 6.324555320336759
 
 
 def test_spectrum_rows():
-    rows = run_spectrum(4)
-    assert [r.label for r in rows] == [1, 2, 3, 4]
-    assert [r.factors for r in rows] == ["1", "2", "3", "2^2"]
-    energies = [r.energy for r in rows]
+    table = run_spectrum(4)
+    assert list(table.labels) == [1, 2, 3, 4]
+    assert table.factors == ["1", "2", "3", "2^2"]
+    energies = table.energies
     assert energies[0] == 0.0
     assert energies[1] == pytest.approx(math.log(2), rel=1e-15)
     assert energies[3] == pytest.approx(math.log(4), rel=1e-15)
-    for r in rows:
-        assert r.gap == pytest.approx(math.log1p(1.0 / r.label), rel=1e-15)
+    for n, gap in zip(table.labels, table.gaps, strict=True):
+        assert gap == pytest.approx(math.log1p(1.0 / n), rel=1e-15)
 
 
 def test_spectrum_factors_string():
-    rows = run_spectrum(12)
-    assert rows[11].factors == "2^2*3"
+    assert run_spectrum(12).factors[11] == "2^2*3"
 
 
 def test_spectrum_csv_layout(tmp_path):
-    rows = run_spectrum(6)
+    table = run_spectrum(6)
     manifest = spectrum_manifest(6, Units())
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(rows, manifest, path)
+    write_spectrum_csv(table, manifest, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# manifest: ")
     assert json.loads(lines[0][len("# manifest: "):]) == manifest
@@ -65,26 +64,33 @@ def test_spectrum_csv_layout(tmp_path):
 def test_spectrum_rows_match_per_label_construction():
     units = Units(hbar=1.3, omega=0.7)
     basis = build_basis(3000, units)
-    expected = [
-        SpectrumRow(
-            label=n,
-            factors=format_occupation(basis.occupation(n)),
-            energy=basis.energy(n),
-            gap=upper_gap(n, units),
-        )
-        for n in basis.labels
-    ]
-    assert run_spectrum(3000, units) == expected
+    table = run_spectrum(3000, units)
+    assert list(table.labels) == list(basis.labels)
+    assert table.factors == [format_occupation(basis.occupation(n)) for n in basis.labels]
+    assert table.energies == [basis.energy(n) for n in basis.labels]
+    assert table.gaps == [upper_gap(n, units) for n in basis.labels]
 
 
 def test_spectrum_csv_floats_reimport_bit_exactly():
     units = Units(hbar=1.3, omega=0.7)
-    rows = run_spectrum(500, units)
-    lines = spectrum_csv_text(rows, spectrum_manifest(500, units)).splitlines()[2:]
-    for row, line in zip(rows, lines, strict=True):
-        label, factors, energy, gap = line.split(",")
-        assert (int(label), factors, float(energy), float(gap)) == (
-            row.label, row.factors, row.energy, row.gap
+    table = run_spectrum(500, units)
+    lines = list(spectrum_csv_lines(table, spectrum_manifest(500, units)))[2:]
+    for row, line in zip(zip(*table), lines, strict=True):
+        label, factors, energy, gap = line.rstrip("\n").split(",")
+        assert (int(label), factors, float(energy), float(gap)) == row
+
+
+def test_spectrum_json_rows_equal_csv_rows():
+    units = Units(hbar=1.3, omega=0.7)
+    table = run_spectrum(2000, units)
+    manifest = spectrum_manifest(2000, units)
+    payload = json.loads(json.dumps(spectrum_dict(table, manifest)))
+    assert payload["config"] == manifest
+    lines = list(spectrum_csv_lines(table, manifest))[2:]
+    for row, line in zip(payload["rows"], lines, strict=True):
+        label, factors, energy, gap = line.rstrip("\n").split(",")
+        assert (row["N"], row["factors"], row["energy"], row["gap"]) == (
+            int(label), factors, float(energy), float(gap)
         )
 
 

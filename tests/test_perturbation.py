@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import primecavity.perturbation
 from primecavity import (
+    COUPLING_MODELS,
     ConfigurationError,
     Units,
     build_basis,
@@ -15,6 +18,7 @@ from primecavity import (
     excitation_probability,
     excitation_profile,
     offresonant_envelope,
+    run_scaling,
 )
 
 # frozen from 40-digit evaluation of the closed forms
@@ -265,3 +269,32 @@ def test_excitation_profile():
 
     hot = excitation_profile(basis, coupling, target=4, t=5e4)
     assert not hot.first_order_valid
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    kappa=st.floats(1.0, 100.0),
+    model=st.sampled_from(COUPLING_MODELS),
+    mode=st.sampled_from(["envelope", "instantaneous"]),
+    units=st.sampled_from([Units(), Units(hbar=1.3, omega=0.7)]),
+    wide=st.booleans(),
+)
+def test_time_energy_product_stays_above_hbar_n_log_n(n, kappa, model, mode, units, wide):
+    n_max = 2 * n + 2 if wide else n + 1
+    study = run_scaling([n], kappa=kappa, mode=mode, model=model, units=units, n_max=n_max)
+    assert study.records[0].ratio > 1
+
+
+@pytest.mark.parametrize("model", COUPLING_MODELS)
+def test_instantaneous_scan_waits_half_a_beat(model):
+    # at kappa = 1 the first-order dominance holds from the first grid point
+    units = Units(hbar=1.3, omega=0.7)
+    for n in (2, 3, 8, 64, 199):
+        basis = build_basis(n + 1, units)
+        coupling = build_coupling(basis, model, 1e-3)
+        t_env = discrimination_time(n, basis, coupling, kappa=1.0)
+        t = discrimination_time(n, basis, coupling, kappa=1.0, mode="instantaneous")
+        half_beat = math.pi / (units.omega * math.log1p(1.0 / n))
+        assert t == t_env or t >= half_beat * (1 - 1e-12)
+        assert t * units.omega / n > 1  # the ratio t_disc*E_N / (hbar*N*log N)
