@@ -33,6 +33,7 @@ from .experiments import (
 from .units import Units
 
 _STATUS_EXIT = {"pass": 0, "mismatch": 2, "inconclusive": 3}
+_LAMBDA_HELP = "coupling strength > 0 (default 1e-3); pass a value starting with - as --lambda=X"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,8 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--target", type=int, required=True, help="integer to factorize")
     pr.add_argument("--nmax", type=int, default=None,
                     help="basis size (default 2*target+2; must be >= 2*target)")
-    pr.add_argument("--lambda", dest="strength", type=float, default=1e-3,
-                    help="coupling strength (default 1e-3)")
+    pr.add_argument("--lambda", dest="strength", type=float, default=1e-3, help=_LAMBDA_HELP)
     pr.add_argument("--kappa", type=float, default=10.0,
                     help="required dominance ratio over competitors (default 10)")
     pr.add_argument("--coupling-model", choices=COUPLING_MODELS, default="star-uniform")
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--kappa", type=float, default=10.0)
     sc.add_argument("--mode", choices=("envelope", "instantaneous"), default="envelope")
     sc.add_argument("--coupling-model", choices=COUPLING_MODELS, default="star-uniform")
-    sc.add_argument("--lambda", dest="strength", type=float, default=1e-3)
+    sc.add_argument("--lambda", dest="strength", type=float, default=1e-3, help=_LAMBDA_HELP)
     sc.add_argument("--nmax", type=int, default=None,
                     help="basis size (default: largest target + 1)")
     sc.add_argument("--out", type=Path, default=None)

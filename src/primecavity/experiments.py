@@ -184,7 +184,10 @@ def run_prepare(
     t_disc = discrimination_time(target, basis, coupling, kappa=kappa, mode=mode)
 
     w_target = abs(coupling.vacuum_coupling(target))
-    predicted = excitation_probability(target, target, t_disc, w_target, units)
+    try:
+        predicted = excitation_probability(target, target, t_disc, w_target, units)
+    except OverflowError:  # a prediction past the float range fails the guard
+        predicted = math.inf
     if predicted > FIRST_ORDER_LIMIT:
         lam_max = 2.0 * units.hbar * math.sqrt(FIRST_ORDER_LIMIT) / t_disc
         raise ConfigurationError(

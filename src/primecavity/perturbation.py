@@ -154,6 +154,13 @@ def discrimination_time(
     from the target sooner (the time-energy limit), and for small kappa the
     first-order dominance would otherwise hold from the first grid point.
     With that floor t_disc*E_N stays above hbar*N*log(N) for every kappa.
+
+    Competitors whose kappa-scaled envelope (w_M/hbar)^2/Delta_M^2 is below
+    p_target at the floor are dropped first (at most 4 stay at kappa = 10):
+    past the floor p_target only grows, a grid value never exceeds its envelope
+    (sin^2 <= 1, rounding is monotone) and kappa*max(a, b) = max(kappa*a,
+    kappa*b), so they decide no point and the result is the same to the bit.
+    A grid past memory (~64*(sqrt(kappa)/pi + 1) points) is a ConfigurationError.
     """
     if not (math.isfinite(kappa) and kappa >= 1):
         raise ValueError(f"kappa must be finite and >= 1 (got {kappa})")
@@ -184,18 +191,28 @@ def discrimination_time(
 
     period = 2.0 * math.pi / (basis.units.omega * math.log1p(1.0 / target))
     step = period / _SCAN_POINTS_PER_PERIOD
-    times = np.arange(0.0, t_envelope + period + 2 * step, step)
-    # largest first-order p_M(t) over the competitors on the grid, one block of
-    # levels (rows) at a time; max is exact, so blocking changes no bit
-    worst_p = np.zeros_like(times)  # probabilities are non-negative
-    for lo in range(0, len(delta), _SCAN_BLOCK_ROWS):
-        d = delta[lo : lo + _SCAN_BLOCK_ROWS, None]
-        w = mags[lo : lo + _SCAN_BLOCK_ROWS, None]
-        comp = (w / basis.units.hbar) ** 2 * np.sin(0.5 * (d * times)) ** 2 / d**2
-        np.maximum(worst_p, comp.max(axis=0), out=worst_p)
-    p_target = (w_target * times / (2.0 * basis.units.hbar)) ** 2
+    floor = _SCAN_POINTS_PER_PERIOD // 2  # the half-beat floor; the grid spans > 1 period
+    try:
+        times = np.arange(0.0, t_envelope + period + 2 * step, step)
+        p_target = (w_target * times / (2.0 * basis.units.hbar)) ** 2
+        # keep if not below, so that a NaN envelope keeps its row
+        decisive = ~(kappa * ((mags / basis.units.hbar) ** 2 / delta**2) < p_target[floor])
+        delta, mags = delta[decisive], mags[decisive]
+        # largest first-order p_M(t) over the competitors on the grid, one block
+        # of levels (rows) at a time; max is exact, so blocking changes no bit
+        worst_p = np.zeros_like(times)  # probabilities are non-negative
+        for lo in range(0, len(delta), _SCAN_BLOCK_ROWS):
+            d = delta[lo : lo + _SCAN_BLOCK_ROWS, None]
+            w = mags[lo : lo + _SCAN_BLOCK_ROWS, None]
+            comp = (w / basis.units.hbar) ** 2 * np.sin(0.5 * (d * times)) ** 2 / d**2
+            np.maximum(worst_p, comp.max(axis=0), out=worst_p)
+    except (MemoryError, ValueError):  # ValueError: longer than a numpy array can be
+        size = (t_envelope + period) / step + 2
+        raise ConfigurationError(
+            f"kappa={kappa:g} needs a scan grid of {size:.3g} points, more than memory holds"
+        ) from None
     ok = (p_target >= kappa * worst_p) & (p_target > 0.0)
-    ok[: _SCAN_POINTS_PER_PERIOD // 2] = False  # the half-beat floor
+    ok[:floor] = False
     window = _SCAN_POINTS_PER_PERIOD + 1
     for i in np.flatnonzero(ok):
         if i + window > len(ok):

@@ -2,8 +2,12 @@
 
 These deliberately avoid the package's own code paths: factorization by
 naive trial division, and a separately written dense-matrix RK4 integrator
-for cross-checking the production propagator.
+for cross-checking the production propagator. The one exception is the
+unpruned discrimination scan, which must repeat the package's arithmetic
+expression for expression to serve as a bit-for-bit reference.
 """
+
+import math
 
 import numpy as np
 
@@ -60,3 +64,39 @@ def oracle_rk4(n_max, lam, drive_freq, t_final, dt, hbar=1.0, omega=1.0):
         psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     return psi
+
+
+def unpruned_instantaneous_time(target, basis, coupling, kappa):
+    """The instantaneous discrimination scan over every competitor, unpruned.
+
+    Same detunings, grid, half-beat floor and one-period window as
+    perturbation.discrimination_time, written out in full so that the
+    package's competitor pruning can be checked against it bit for bit.
+    """
+    hbar, omega = basis.units.hbar, basis.units.omega
+    labels = np.arange(2, basis.n_max + 1)
+    labels = labels[labels != target]
+    gap = labels - target
+    delta = omega * np.sign(gap) * np.log1p(np.abs(gap) / np.minimum(labels, target))
+    mags = np.abs(coupling.vacuum_row[labels - 1])
+    w_target = abs(complex(coupling.vacuum_row[target - 1]))
+    t_envelope = 2.0 * math.sqrt(kappa) * float(np.max(mags / np.abs(delta))) / w_target
+
+    period = 2.0 * math.pi / (omega * math.log1p(1.0 / target))
+    step = period / 64
+    times = np.arange(0.0, t_envelope + period + 2 * step, step)
+    worst_p = np.zeros_like(times)
+    for lo in range(0, len(delta), 1024):
+        d = delta[lo : lo + 1024, None]
+        w = mags[lo : lo + 1024, None]
+        comp = (w / hbar) ** 2 * np.sin(0.5 * (d * times)) ** 2 / d**2
+        np.maximum(worst_p, comp.max(axis=0), out=worst_p)
+    p_target = (w_target * times / (2.0 * hbar)) ** 2
+    ok = (p_target >= kappa * worst_p) & (p_target > 0.0)
+    ok[:32] = False
+    for i in np.flatnonzero(ok):
+        if i + 65 > len(ok):
+            break
+        if ok[i : i + 65].all():
+            return float(times[i])
+    return t_envelope

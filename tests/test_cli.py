@@ -100,6 +100,27 @@ def test_prepare_guard_exit_code(capsys):
     assert "first-order guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--lambda", "1e300"), ("--omega", "1e-300")])
+def test_prepare_overflowing_prediction_fails_the_guard(flag, value, capsys):
+    assert run_cli(["prepare", "--target", "6", flag, value]) == 4
+    err = capsys.readouterr().err
+    assert "first-order guard: predicted target probability inf" in err
+    assert "|<1|W|6>| <=" in err
+
+
+def test_lambda_help_names_the_form_for_a_leading_minus(capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["scaling", "--help"])
+    assert "--lambda=X" in capsys.readouterr().out
+    assert run_cli(["prepare", "--target", "6", "--lambda=-1e-3"]) == 4
+    assert "coupling strength must be finite and positive" in capsys.readouterr().err
+
+
+def test_scaling_huge_kappa_names_kappa(capsys):
+    assert run_cli(["scaling", "8", "16", "--mode", "instantaneous", "--kappa", "1e300"]) == 4
+    assert "kappa=1e+300 needs a scan grid of" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
 def test_prepare_rejects_bad_dt(dt, capsys):
     assert run_cli(["prepare", "--target", "6", "--dt", dt]) == 4

@@ -21,6 +21,8 @@ from primecavity import (
     run_scaling,
 )
 
+from helpers import unpruned_instantaneous_time
+
 # frozen from 40-digit evaluation of the closed forms
 P_AT_3_FROM_2 = 4.900575098632455e-4      # w=0.01, t=10, resonance on 2
 ENVELOPE_3_FROM_2 = 6.082652768529975e-4  # w=0.01
@@ -225,11 +227,65 @@ def test_discrimination_time_instantaneous_mode():
 def test_instantaneous_scan_blocking_is_bit_identical(monkeypatch, model, n):
     basis = build_basis(2 * n + 2)  # the nearest neighbours sit in an inner block
     coupling = build_coupling(basis, model, 1e-3)
-    blocked = discrimination_time(n, basis, coupling, mode="instantaneous")
-    monkeypatch.setattr(primecavity.perturbation, "_SCAN_BLOCK_ROWS", 7)
-    assert discrimination_time(n, basis, coupling, mode="instantaneous") == blocked
-    monkeypatch.setattr(primecavity.perturbation, "_SCAN_BLOCK_ROWS", 2 * n)  # one block
-    assert discrimination_time(n, basis, coupling, mode="instantaneous") == blocked
+    for kappa in (10.0, 1e4):  # 4 and over 100 competitors survive the pruning
+        blocked = discrimination_time(n, basis, coupling, kappa, "instantaneous")
+        monkeypatch.setattr(primecavity.perturbation, "_SCAN_BLOCK_ROWS", 7)
+        assert discrimination_time(n, basis, coupling, kappa, "instantaneous") == blocked
+        monkeypatch.setattr(primecavity.perturbation, "_SCAN_BLOCK_ROWS", 2 * n)  # one block
+        assert discrimination_time(n, basis, coupling, kappa, "instantaneous") == blocked
+        monkeypatch.undo()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    kappa=st.floats(1.0, 1000.0),
+    model=st.sampled_from(COUPLING_MODELS),
+    units=st.sampled_from([Units(), Units(hbar=1.3, omega=0.7)]),
+    wide=st.booleans(),
+)
+def test_pruned_scan_equals_unpruned_reference(n, kappa, model, units, wide):
+    basis = build_basis(2 * n + 2 if wide else n + 1, units)
+    coupling = build_coupling(basis, model, 1e-3)
+    t = discrimination_time(n, basis, coupling, kappa=kappa, mode="instantaneous")
+    assert t == unpruned_instantaneous_time(n, basis, coupling, kappa)
+
+
+@pytest.mark.parametrize("model", COUPLING_MODELS)
+@pytest.mark.parametrize("n,kappa", [(600, 10.0), (600, 1000.0), (5000, 1.5), (5000, 10.0)])
+def test_pruned_scan_equals_unpruned_reference_large_n(model, n, kappa):
+    basis = build_basis(2 * n + 2, Units(hbar=1.3, omega=0.7))
+    coupling = build_coupling(basis, model, 1e-3)
+    t = discrimination_time(n, basis, coupling, kappa=kappa, mode="instantaneous")
+    assert t == unpruned_instantaneous_time(n, basis, coupling, kappa)
+
+
+def test_instantaneous_sweep_to_a_million_levels():
+    targets = [8, 16, 10**6]
+    scan = run_scaling(targets, mode="instantaneous").records
+    envelope = run_scaling(targets).records
+    for rec, env in zip(scan, envelope):
+        assert rec.t_disc <= env.t_disc
+        assert rec.ratio > 1
+
+
+def test_huge_kappa_scan_grid_is_a_configuration_error():
+    basis = build_basis(17)
+    coupling = build_coupling(basis, "star-uniform", 1e-3)
+    grid = r"kappa=1e\+300 needs a scan grid of 2\.04e\+151 points"
+    with pytest.raises(ConfigurationError, match=grid):
+        discrimination_time(16, basis, coupling, kappa=1e300, mode="instantaneous")
+
+
+def test_scan_out_of_memory_names_kappa(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    basis = build_basis(17)
+    coupling = build_coupling(basis, "star-uniform", 1e-3)
+    monkeypatch.setattr(np, "sin", exhausted)  # the scan's block allocation fails
+    with pytest.raises(ConfigurationError, match=r"kappa=10 needs a scan grid of \d+ points"):
+        discrimination_time(16, basis, coupling, kappa=10.0, mode="instantaneous")
 
 
 def test_instantaneous_scan_memory_is_bounded():
