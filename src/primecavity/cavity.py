@@ -172,8 +172,8 @@ class DriveConfig:
     target: int
 
     def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValueError("drive frequency must be positive")
+        if not (math.isfinite(self.frequency) and self.frequency > 0):
+            raise ValueError(f"drive frequency must be finite and positive (got {self.frequency})")
         if self.target < 2:
             raise ValueError("the drive targets an excited level (label >= 2)")
 

@@ -30,7 +30,7 @@ from .dynamics import (
     max_stable_dt,
     propagate,
     sample_measurement,
-    step_count,
+    step_grid,
     vacuum_state,
 )
 from .encoding import (
@@ -160,7 +160,8 @@ def run_prepare(
     target probability at t_disc exceeds FIRST_ORDER_LIMIT, before any
     integration. dt defaults to half the step gate, where the sampled norm
     drift stayed below 2e-12 for targets 6 to 400 at ~8% target weight, far
-    inside NORM_TOLERANCE.
+    inside NORM_TOLERANCE. The stride is a whole number of drive periods (at
+    most 512 samples), so propagate jumps every period with its one-period map.
     """
     if target < 2:
         raise ConfigurationError(f"target must be an excited label (got {target})")
@@ -199,15 +200,16 @@ def run_prepare(
     if dt is None:
         dt = max_stable_dt(basis, coupling) / 2.0
 
-    stride = max(1, step_count(t_disc, dt) // 512)
+    h, per_period = step_grid(t_disc, dt, drive.frequency)
+    unit = per_period or 1  # whole periods apart, at most 512 samples
+    stride = unit * max(1, math.ceil(t_disc / h / unit / 512))
     trajectory = propagate(
         vacuum_state(basis), basis, coupling, drive, t_disc, dt, sample_stride=stride
     )
 
     idx = np.unique(np.round(np.linspace(0, len(trajectory.times) - 1, curve_points)).astype(int))
-    probs = trajectory.probabilities()
     curve_times = tuple(float(trajectory.times[i]) for i in idx)
-    curve_exact = tuple(float(probs[i, target - 1]) for i in idx)
+    curve_exact = tuple(float(p) for p in np.abs(trajectory.states[idx, target - 1]) ** 2)
     curve_first = tuple(
         excitation_probability(target, target, tt, w_target, units) for tt in curve_times
     )
@@ -560,20 +562,27 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
         return "diagonal evolution matches analytic phases"
 
     @functools.cache
-    def driven_run():
-        # shared by the unitarity and first-order checks
+    def driven_run(t_final=10.0, stride=1):
+        # shared by the unitarity, period-map and first-order checks
         basis = build_basis(12)
         coupling = build_coupling(basis, "star-uniform", 1e-3)
         drive = DriveConfig.resonant(basis, 3)
         return propagate(
-            vacuum_state(basis), basis, coupling, drive, 10.0,
-            max_stable_dt(basis, coupling) / 4
+            vacuum_state(basis), basis, coupling, drive, t_final,
+            max_stable_dt(basis, coupling) / 4, sample_stride=stride
         )
 
     def check_unitarity():
         run = driven_run()
         assert run.norm_drift <= 1e-9
         return f"drift {run.norm_drift:.2e}"
+
+    def check_period_map():
+        # t = 30 spans five drive periods: stride 1 steps through each, 10**9 jumps them
+        stepped, mapped = (driven_run(30.0, s).final.amplitudes for s in (1, 10**9))
+        gap = float(np.abs(stepped - mapped).max())
+        assert gap <= 1e-12, f"final states differ by {gap:.2e}"
+        return f"final states agree to {gap:.1e}"
 
     def check_first_order():
         p = np.abs(driven_run().final.amplitudes) ** 2
@@ -615,6 +624,7 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
     record("coupling hermiticity and reachability", check_reachability)
     record("free evolution phases", check_free_evolution)
     record("driven-run unitarity", check_unitarity)
+    record("period map matches stepping", check_period_map)
     record("first-order agreement", check_first_order)
     record("discrimination closed form", check_discrimination)
     record("scaling ratios and omega invariance", check_scaling)

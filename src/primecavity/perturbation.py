@@ -18,6 +18,7 @@ being trustworthy and callers should shrink the coupling.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,8 @@ def discrimination_time(
     past the floor p_target only grows, a grid value never exceeds its envelope
     (sin^2 <= 1, rounding is monotone) and kappa*max(a, b) = max(kappa*a,
     kappa*b), so they decide no point and the result is the same to the bit.
-    A grid past memory (~64*(sqrt(kappa)/pi + 1) points) is a ConfigurationError.
+    A grid past memory (~64*(sqrt(kappa)/pi + 1) points) is a ConfigurationError,
+    as is a subnormal nearest-neighbour detuning or an infinite t_disc (naming omega).
     """
     if not (math.isfinite(kappa) and kappa >= 1):
         raise ValueError(f"kappa must be finite and >= 1 (got {kappa})")
@@ -183,6 +185,10 @@ def discrimination_time(
     worst = float(np.max(mags / np.abs(delta)))
     # hbar cancels between the resonant growth and the envelope
     t_envelope = 2.0 * math.sqrt(kappa) * worst / w_target
+    nearest = basis.units.omega * math.log1p(1.0 / target)  # the detuning of M = N + 1
+    if not (nearest >= sys.float_info.min and math.isfinite(t_envelope)):
+        raise ConfigurationError(f"omega={basis.units.omega:g} is too small for target {target}: "
+                                 f"its detunings underflow or t_disc is {t_envelope:.3g}")
 
     if mode == "envelope":
         return t_envelope

@@ -235,6 +235,9 @@ def test_drive_config_resonant():
         DriveConfig.resonant(basis, 13)
     with pytest.raises(ValueError):
         DriveConfig(frequency=-1.0, target=3)
+    for frequency in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="drive frequency must be finite and positive"):
+            DriveConfig(frequency=frequency, target=3)
 
 
 def test_write_matrix_csv_roundtrip(tmp_path):

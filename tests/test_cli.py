@@ -150,6 +150,27 @@ def test_non_finite_units_and_kappa_rejected(argv, name, capsys):
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scaling", "8", "16", "--omega", "5e-324"],
+    ["scaling", "8", "16", "--mode", "instantaneous", "--omega", "1e-310"],
+    ["prepare", "--target", "6", "--lambda", "1e-3", "--omega", "1e-310"],
+    ["spectrum", "--nmax", "8", "--hbar", "5e-324"],
+])
+def test_subnormal_units_rejected(argv, capsys):
+    assert run_cli(argv) == 4
+    name = argv[-2].lstrip("-")
+    assert f"{name} must be finite and positive, not subnormal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["envelope", "instantaneous"])
+def test_underflowing_detuning_names_omega(mode, capsys):
+    # a normal omega whose nearest-neighbour detuning omega*log1p(1/8) is subnormal
+    assert run_cli(["scaling", "8", "16", "--mode", mode, "--omega", "2.3e-308"]) == 4
+    err = capsys.readouterr().err
+    assert "omega=2.3e-308 is too small for target 8" in err
+    assert "its detunings underflow or t_disc is inf" in err
+
+
 @pytest.mark.parametrize("argv,runner,size", [
     (["scaling", "8", "16", "100000"], "run_scaling", "100001 levels"),
     (["scaling", "8", "16", "--nmax", "50000"], "run_scaling", "50000 levels"),
@@ -232,7 +253,8 @@ def test_scaling_bad_nmax():
 def test_check_command(capsys):
     assert run_cli(["check", "--nmax", "300"]) == 0
     out = capsys.readouterr().out
-    assert "10/10 invariants hold" in out
+    assert "11/11 invariants hold" in out
+    assert "period map matches stepping" in out
     assert "FAIL" not in out
 
 

@@ -1,13 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import primecavity.dynamics
 from primecavity import (
+    COUPLING_MODELS,
     ConfigurationError,
     CouplingOperator,
     DriveConfig,
     MeasurementResult,
+    Units,
     WaveFunction,
     build_basis,
     build_coupling,
@@ -20,6 +26,7 @@ from primecavity import (
     sample_measurement,
     vacuum_state,
 )
+from primecavity.dynamics import step_grid
 
 from helpers import oracle_rk4
 
@@ -260,3 +267,103 @@ def test_propagate_rejects_non_finite_arguments(t_final, dt, named):
     basis, coupling, drive = _uniform_setup(8, 3, 1e-3)
     with pytest.raises(ValueError, match=f"^{named} must be finite"):
         propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt)
+
+
+def _tracer_sample_count(times, stride):
+    # the count bench/tracing.py asserts: samples at k*h for k = stride,
+    # 2*stride, ... before t_final, plus the final state
+    h = float(times[1] - times[0]) / stride
+    steps = round(float(times[-1]) / h)
+    return 1 + steps // stride + (1 if steps % stride else 0)
+
+
+def _final(basis, coupling, drive, t_final, dt, stride):
+    run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt,
+                    sample_stride=stride)
+    return run.final.amplitudes
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    target=st.integers(2, 30),
+    model=st.sampled_from(COUPLING_MODELS),
+    units=st.sampled_from([Units(), Units(hbar=1.3, omega=0.7)]),
+    gate_share=st.floats(0.25, 1.0),
+    periods=st.floats(2.2, 4.0),
+)
+def test_period_map_matches_stepping(target, model, units, gate_share, periods):
+    basis = build_basis(2 * target + 2, units)
+    coupling = build_coupling(basis, model, 1e-3)
+    drive = DriveConfig.resonant(basis, target)
+    dt = gate_share * max_stable_dt(basis, coupling)
+    t_final = periods * 2.0 * math.pi / drive.frequency
+    stepped = _final(basis, coupling, drive, t_final, dt, 1)  # a sample in every period
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primecavity.dynamics, "_STEP_OVERHEAD", 10**12)  # the map always pays
+        mapped = _final(basis, coupling, drive, t_final, dt, 10**9)
+    assert np.abs(stepped - mapped).max() <= 1e-12
+
+
+@pytest.mark.parametrize("periods", [0.4, 1.0, 3.0, 7.5])
+@pytest.mark.parametrize("stride", [1, 7, "period", 10**9])
+def test_sample_grid_matches_the_tracer_count(periods, stride):
+    basis, coupling, drive = _uniform_setup(14, 6, 1e-3)
+    dt = max_stable_dt(basis, coupling) / 2
+    t_final = periods * 2.0 * math.pi / drive.frequency
+    h, per_period = step_grid(t_final, dt, drive.frequency)
+    stride = (per_period or 1) if stride == "period" else stride
+    run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt,
+                    sample_stride=stride)
+    assert len(run.times) == _tracer_sample_count(run.times, stride)
+    assert run.times[-1] == t_final
+    inner = run.times[1:-1]
+    assert np.array_equal(inner, stride * np.arange(1, len(inner) + 1) * h)
+    assert not len(inner) or inner[-1] < t_final - h / 2
+
+
+@pytest.mark.parametrize("offset", [-0.3, 0.3])
+def test_run_ending_within_half_a_step_of_a_period_boundary(offset):
+    basis, coupling, drive = _uniform_setup(14, 6, 1e-3)
+    dt = max_stable_dt(basis, coupling) / 2
+    period = 2.0 * math.pi / drive.frequency
+    h, per_period = step_grid(3 * period, dt, drive.frequency)
+    t_final = 3 * period + offset * h
+    assert step_grid(t_final, dt, drive.frequency) == (h, per_period)
+    run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt,
+                    sample_stride=per_period)
+    # samples at T and 2T; the one at 3T lies within h/2 of the end and is dropped
+    assert run.times.tolist() == [0.0, per_period * h, 2 * per_period * h, t_final]
+    stepped = _final(basis, coupling, drive, t_final, dt, 1)
+    assert np.abs(run.final.amplitudes - stepped).max() <= 1e-12
+
+
+@pytest.mark.parametrize("frequency, t_final", [(math.log(6), 0.5), (1e-300, 2.0)])
+def test_run_without_a_whole_period_steps_on_the_plain_grid(frequency, t_final):
+    # shorter than one period (T = 3.5), or no finite period at all: every
+    # step is taken at h0 = t_final/ceil(t_final/dt), as without the period map
+    n_max, lam, dt = 14, 1e-3, 1e-3
+    basis = build_basis(n_max)
+    coupling = build_coupling(basis, "star-uniform", lam)
+    drive = DriveConfig(frequency=frequency, target=6)
+    assert step_grid(t_final, dt, frequency) == (t_final / round(t_final / dt), 0)
+    run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt)
+    assert len(run.times) == round(t_final / dt) + 1 and run.times[-1] == t_final
+    psi_ref = oracle_rk4(n_max, lam, frequency, t_final, dt / 4)
+    assert np.abs(run.final.amplitudes - psi_ref).max() <= 1e-12
+
+
+def test_no_map_above_the_size_rule():
+    # n = 3000 over three periods: K*(c + 10n^2) + 3n^2 exceeds the stepping
+    # work 3K*(c + 10n), so the 144 MB map is never built
+    n = 3000
+    basis, coupling, drive = _uniform_setup(n, 2, 1e-3)
+    dt = max_stable_dt(basis, coupling)
+    t_final = 3 * 2.0 * math.pi / drive.frequency
+    tracemalloc.start()
+    try:
+        jumped = _final(basis, coupling, drive, t_final, dt, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n  # a sixteenth of the map's 16*n^2 bytes
+    assert np.array_equal(jumped, _final(basis, coupling, drive, t_final, dt, 7))

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -354,3 +355,18 @@ def test_instantaneous_scan_waits_half_a_beat(model):
         half_beat = math.pi / (units.omega * math.log1p(1.0 / n))
         assert t == t_env or t >= half_beat * (1 - 1e-12)
         assert t * units.omega / n > 1  # the ratio t_disc*E_N / (hbar*N*log N)
+
+
+@pytest.mark.parametrize("field", ["hbar", "omega"])
+def test_units_reject_subnormal_values(field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive, not subnormal"):
+        Units(**{field: 1e-310})
+    assert getattr(Units(**{field: sys.float_info.min}), field) == sys.float_info.min
+
+
+@pytest.mark.parametrize("mode", ["envelope", "instantaneous"])
+def test_discrimination_time_names_omega_when_the_detuning_underflows(mode):
+    basis = build_basis(18, Units(omega=2.3e-308))
+    coupling = build_coupling(basis, "star-uniform", 1e-3)
+    with pytest.raises(ConfigurationError, match="^omega=2.3e-308 is too small for target 8"):
+        discrimination_time(8, basis, coupling, mode=mode)
