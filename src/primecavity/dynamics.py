@@ -30,8 +30,10 @@ from .errors import ConfigurationError, PropagationError
 
 STABILITY_NUMBER = 0.05  # max admissible dt * (max|E| + lambda) / hbar
 NORM_TOLERANCE = 1e-9
-_STEP_OVERHEAD = 2700  # a step's ~4 us call overhead, in ~1.5 ns element operations
-_TABLE_ROWS = 4096  # stage matrices (256 bytes each) built at once
+_STEP_OVERHEAD = 2700  # a kernel call's ~4 us overhead, in ~1.5 ns element operations
+_CHUNK = 8  # Lawson steps fused into one kernel call (a power of two)
+_TABLE_BYTES = 1 << 20  # chunk matrices (16 KB each at _CHUNK = 8) built and cached at once
+_MAX_STEPS = 2**53  # beyond this, step times k*h are no longer distinct floats
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,18 @@ def step_grid(t_final: float, dt: float, frequency: float) -> tuple[float, int]:
     T = 2*pi/frequency and h0 = t_final/ceil(t_final/dt) is the plain grid (dt
     shrinks to divide t_final, never grows), so h <= h0 <= dt; (h0, 0) when T is
     not finite, shorter than h0 or longer than the run. Raises ValueError naming
-    the argument when t_final is not finite and non-negative or dt is not finite
-    and positive.
+    the argument when t_final is not finite and non-negative, dt is not finite
+    and positive, or t_final/dt exceeds _MAX_STEPS.
     """
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError(f"t_final must be finite and non-negative (got {t_final})")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive (got {dt})")
+    if t_final / dt > _MAX_STEPS:
+        raise ValueError(
+            f"dt={dt:g} is too small: {t_final / dt:.3g} steps exceed 2**53, "
+            f"past which step times k*h are no longer distinct"
+        )
     h0 = t_final / max(1, math.ceil(t_final / dt - 1e-12))
     period = 2.0 * math.pi / frequency
     if not h0 <= period <= t_final:  # no whole period in the run, or not one step
@@ -103,8 +110,11 @@ def step_grid(t_final: float, dt: float, frequency: float) -> tuple[float, int]:
 
 
 def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
-    """(stages, run): stages(starts) stacks the 4x4 stage matrices A_k of Lawson
-    RK4 steps of length h from each time in starts; run(x, table) takes them in order.
+    """(stages, chunks, run) for Lawson RK4 steps of length h.
+
+    stages(starts) stacks the 4x4 stage matrices A_k of the steps from each
+    time in starts; chunks(a) fuses each _CHUNK consecutive ones into a chunk
+    matrix; run(x, table) takes the steps (4x4) or chunks of a table in order.
 
     With N(t, y) = -i cos(Omega t) W y / hbar, P = exp(-i E h / 2hbar), F = P^2:
       k1 = N(t, x)              k2 = N(t + h/2, P (x + h/2 k1))
@@ -112,16 +122,27 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
       x' = F x + h/6 (F k1 + 2 P (k2 + k3) + k4)
     The star W y = y[0] col + (w.y) e0 (col = conj(w), w[0] = 0) makes each
     k_j = a_j col + b_j e0, linear in g = (w.x, w.(P x), w.(F x), x[0]) since
-    P[0] = F[0] = 1 (zero vacuum energy). So x' = F x + spread^T (A_k gather x),
-    with the stage formulas evaluated on unit inputs g as the 4x4 matrix A_k.
-    x is n x m: a state (m = 1), or the identity (m = n) to build a map.
+    P[0] = F[0] = 1 (zero vacuum energy). So x' = F x + S (A_k G x) with G the
+    4-row gather, S the 4-column spread, and the stage formulas evaluated on
+    unit inputs g as the 4x4 matrix A_k.
+
+    J = _CHUNK steps are one exact update x <- F^J x + S_J (T (H_J x)), where
+    H_J stacks G F^i (i < J, 4J x n) and S_J = [F^(J-1) S, ..., F S, S]
+    (n x 4J). The 4J x 4J chunk matrix T is built by doubling from T = A_k for
+    one step: after an m-step chunk T_a, H_m x' = H_m F^m x + Phi_m T_a H_m x
+    with Phi_m = H_m S_m, so T_a followed by T_b is [[T_a, 0], [T_b Phi_m T_a,
+    T_b]]. (Row block i of T is A_i (E_i + sum_{l<i} G F^(i-1-l) S T_l), the
+    forward substitution of the J steps.) A single step is the same kernel with
+    J = 1. x is n x m, a state (m = 1) or the identity (m = n) to build a map;
+    run overwrites it and holds one more n x m buffer. The operators of each J
+    are built on first use, so a run that takes no chunk builds none.
     """
     w, col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
     p = np.exp((-0.5j * h / basis.units.hbar) * np.asarray(basis.energy_vector, dtype=float))
     e0 = np.eye(1, basis.n_max, dtype=complex)[0]
     gather = np.array([w, w * p, w * p * p, e0])
     spread_t = np.array([p * p * col, p * col, col, e0]).T.copy()
-    f = (p * p)[:, None]
+    f = p * p
     s_ww, s_wpw = complex(np.vdot(w, w)), complex(w @ (p * col))
     rate, half, sixth, third = -1j / basis.units.hbar, 0.5 * h, h / 6.0, h / 3.0
 
@@ -137,12 +158,35 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
         return np.stack([sixth * a1, third * (a2 + a3), sixth * a4,
                          sixth * (b1 + 2.0 * (b2 + b3) + b4)], axis=1)
 
+    @lru_cache(maxsize=None)
+    def fused(j):  # F^J (n x 1), H_J and S_J
+        powers = np.cumprod([np.ones_like(f), *[f] * j], axis=0)  # F^0 .. F^J
+        h_op = (gather * powers[:j, None, :]).reshape(4 * j, -1)
+        s_op = (powers[j - 1 :: -1, :, None] * spread_t[None]).transpose(1, 0, 2).reshape(-1, 4 * j)
+        return powers[j][:, None].copy(), h_op, s_op
+
+    def chunks(a: np.ndarray) -> np.ndarray:
+        _, h_op, s_op = fused(_CHUNK)
+        t, m = a, 1
+        while m < _CHUNK:  # pair consecutive m-step chunks, every pair at once
+            t_a, t_b = t[0::2], t[1::2]
+            t = np.zeros((len(t_a), 8 * m, 8 * m), dtype=complex)
+            t[:, : 4 * m, : 4 * m], t[:, 4 * m :, 4 * m :] = t_a, t_b
+            phi = h_op[: 4 * m] @ s_op[:, -4 * m :]  # H_m S_m
+            np.matmul(t_b, phi @ t_a, out=t[:, 4 * m :, : 4 * m])
+            m *= 2
+        return t
+
     def run(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-        for a in table:
-            x = f * x + spread_t @ (a @ (gather @ x))
+        f_j, h_op, s_op = fused(table.shape[-1] // 4)
+        buf = np.empty_like(x)
+        for t in table:
+            np.matmul(s_op, t @ (h_op @ x), out=buf)
+            x *= f_j
+            x += buf
         return x
 
-    return stages, run
+    return stages, chunks, run
 
 
 def propagate(
@@ -158,14 +202,20 @@ def propagate(
     """Fixed-step Lawson RK4 run from t=0 to t_final; deterministic.
 
     Steps are h = T/K, K per drive period T (step_grid), so each period applies
-    one map U (Floquet; Shirley 1965, Phys. Rev. 138:B979). If K*(c + 10n^2) +
-    P*n^2 < P*K*(c + 10n) (n levels, P sample-free periods, c = _STEP_OVERHEAD),
-    U (16*n^2 bytes) is built once and each such period is psi <- U psi; a
-    period is sample-free only if K divides sample_stride or the run holds no
-    sample. One step shorter than h ends the run at t_final. Samples: t = 0,
-    multiples of sample_stride*h more than h/2 before t_final, and t_final.
-    A dt past the step gate is a ConfigurationError naming the maximum
-    admissible dt; sampled norm drift past norm_tol is a PropagationError.
+    one map U (Floquet; Shirley 1965, Phys. Rev. 138:B979). Within a period the
+    steps go _CHUNK at a time as one fused update (_lawson_steps), on chunks that
+    start at multiples of _CHUNK from the period start; steps left over at the
+    period end or the end of the run go singly. A sample inside a chunk is read
+    off single steps taken on a copy, so the final state does not depend on
+    sample_stride unless U is built. With C = K//_CHUNK + K%_CHUNK kernel calls a
+    period, n levels, P sample-free periods and c = _STEP_OVERHEAD, U (16*n^2
+    bytes) is built once when C*c + K*10n^2 + P*n^2 < P*(C*c + K*10n), and each
+    such period is psi <- U psi; a period is sample-free only if K divides
+    sample_stride or the run holds no sample. One step shorter than h ends the
+    run at t_final. Samples: t = 0, multiples of sample_stride*h more than h/2
+    before t_final, and t_final. A dt past the step gate is a
+    ConfigurationError naming the maximum admissible dt; sampled norm drift
+    past norm_tol is a PropagationError.
     """
     h, per_period = step_grid(t_final, dt, drive.frequency)  # rejects a bad t_final or dt
     if psi0.dimension != basis.n_max or coupling.n_max != basis.n_max:
@@ -186,42 +236,64 @@ def propagate(
 
     whole, grid = int(t_final // h), round(t_final / h)
     per_period = per_period or grid  # no whole period: one table over the run
-    stages, run = _lawson_steps(basis, coupling, drive.frequency, h)
+    chunk = _CHUNK
+    rows = chunk * max(1, _TABLE_BYTES // (16 * (4 * chunk) ** 2))  # in-period steps a block holds
+    stages, chunks, run = _lawson_steps(basis, coupling, drive.frequency, h)
     u_map = None
 
     @lru_cache(maxsize=1)
-    def block(b):  # stage matrices of the b-th block of _TABLE_ROWS in-period steps
-        return stages(np.arange(b * _TABLE_ROWS, min((b + 1) * _TABLE_ROWS, per_period)) * h)
+    def block(b):  # stage matrices of the b-th block of in-period steps
+        return stages(np.arange(b * rows, min((b + 1) * rows, per_period)) * h)
 
-    def run_to(x, k, stop):
+    @lru_cache(maxsize=1)
+    def chunk_block(b):  # chunk matrices of the whole chunks in block b
+        a = block(b)
+        return chunks(a[: len(a) - len(a) % chunk])
+
+    def advance(x, k, stop, chunked=True):
+        # steps k -> stop on the fixed grid (period map, chunks, single steps),
+        # ending early before a chunk that would pass stop; chunked=False: single steps
         while k < stop:
             j = k % per_period
+            b, i = divmod(j, rows)
             if u_map is not None and j == 0 and stop - k >= per_period:
                 x, k = u_map @ x, k + per_period
+            elif chunked and j % chunk == 0 and min(per_period - j, whole - k) >= chunk:
+                count = min(per_period - j, rows - i, stop - k) // chunk
+                if not count:
+                    break
+                x, k = run(x, chunk_block(b)[i // chunk : i // chunk + count]), k + count * chunk
             else:
-                b, i = divmod(j, _TABLE_ROWS)
-                rows = block(b)[i : i + stop - k]
-                x, k = run(x, rows), k + len(rows)
-        return x
+                count = min(per_period - j, rows - i, stop - k)
+                x, k = run(x, block(b)[i : i + count]), k + count
+        return x, k
 
     n = basis.n_max
+    calls = per_period // chunk + per_period % chunk
     free = whole // per_period if sample_stride % per_period == 0 or sample_stride >= grid else 0
-    if (per_period * (_STEP_OVERHEAD + 10 * n * n) + free * n * n
-            < free * per_period * (_STEP_OVERHEAD + 10 * n)):
-        u_map = run_to(np.eye(n, dtype=complex), 0, per_period)
+    if (calls * _STEP_OVERHEAD + per_period * 10 * n * n + free * n * n
+            < free * (calls * _STEP_OVERHEAD + per_period * 10 * n)):
+        u_map = advance(np.eye(n, dtype=complex), 0, per_period)[0]
     x = psi0.amplitudes.astype(complex)[:, None]
-    sample_times, sample_states = [0.0], [x[:, 0]]
-    for k in range(sample_stride, grid, sample_stride):
-        x = run_to(x, k - sample_stride, k)
-        sample_times.append(k * h)
-        sample_states.append(x[:, 0])
-    x = run_to(x, (len(sample_times) - 1) * sample_stride, whole)
+    samples = range(sample_stride, grid, sample_stride)
+    states = np.empty((len(samples) + 2, n), dtype=complex)
+    states[0] = x[:, 0]
+    k, copy_from = 0, None
+    for row, s in enumerate(samples, 1):
+        x, k = advance(x, k, s)
+        if k < s:  # s lies inside the next chunk: single steps on a copy
+            if copy_from != k:
+                y, at, copy_from = x.copy(), k, k
+            y, at = advance(y, at, s, chunked=False)
+        states[row] = (x if k == s else y)[:, 0]
+    x = advance(x, k, whole)[0]
     if (rest := t_final - whole * h) > 0:  # one closing step shorter than h
-        last_stages, last_run = _lawson_steps(basis, coupling, drive.frequency, rest)
+        last_stages, _, last_run = _lawson_steps(basis, coupling, drive.frequency, rest)
         x = last_run(x, last_stages(np.array([(whole % per_period) * h])))
+    states[-1] = x[:, 0]
 
-    trajectory = Trajectory(times=np.array([*sample_times, t_final]),
-                            states=np.array([*sample_states, x[:, 0]]))
+    trajectory = Trajectory(times=np.array([0.0, *(s * h for s in samples), t_final]),
+                            states=states)
     drift = trajectory.norm_drift
     if drift > norm_tol:
         raise PropagationError(

@@ -26,7 +26,9 @@ from .cavity import (
     verify_reachability,
 )
 from .dynamics import (
+    _CHUNK,
     WaveFunction,
+    _lawson_steps,
     max_stable_dt,
     propagate,
     sample_measurement,
@@ -562,14 +564,17 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
         return "diagonal evolution matches analytic phases"
 
     @functools.cache
-    def driven_run(t_final=10.0, stride=1):
-        # shared by the unitarity, period-map and first-order checks
+    def driven_setup():
         basis = build_basis(12)
         coupling = build_coupling(basis, "star-uniform", 1e-3)
-        drive = DriveConfig.resonant(basis, 3)
+        return basis, coupling, DriveConfig.resonant(basis, 3), max_stable_dt(basis, coupling) / 4
+
+    @functools.cache
+    def driven_run(t_final=10.0, stride=1):
+        # shared by the unitarity, period-map, fused-chunk and first-order checks
+        basis, coupling, drive, dt = driven_setup()
         return propagate(
-            vacuum_state(basis), basis, coupling, drive, t_final,
-            max_stable_dt(basis, coupling) / 4, sample_stride=stride
+            vacuum_state(basis), basis, coupling, drive, t_final, dt, sample_stride=stride
         )
 
     def check_unitarity():
@@ -583,6 +588,17 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
         gap = float(np.abs(stepped - mapped).max())
         assert gap <= 1e-12, f"final states differ by {gap:.2e}"
         return f"final states agree to {gap:.1e}"
+
+    def check_fused_chunks():
+        # one drive period of whole chunks from the t = 10 final state, fused and step by step
+        basis, coupling, drive, dt = driven_setup()
+        h, per_period = step_grid(10.0, dt, drive.frequency)
+        stages, chunks, run = _lawson_steps(basis, coupling, drive.frequency, h)
+        table = stages(np.arange(per_period - per_period % _CHUNK) * h)
+        x = driven_run().final.amplitudes[:, None]
+        gap = float(np.abs(run(x.copy(), table) - run(x.copy(), chunks(table))).max())
+        assert gap <= 1e-12, f"final states differ by {gap:.2e}"
+        return f"{len(table)} steps agree to {gap:.1e}"
 
     def check_first_order():
         p = np.abs(driven_run().final.amplitudes) ** 2
@@ -625,6 +641,7 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
     record("free evolution phases", check_free_evolution)
     record("driven-run unitarity", check_unitarity)
     record("period map matches stepping", check_period_map)
+    record("fused chunks match single steps", check_fused_chunks)
     record("first-order agreement", check_first_order)
     record("discrimination closed form", check_discrimination)
     record("scaling ratios and omega invariance", check_scaling)

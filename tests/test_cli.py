@@ -127,6 +127,13 @@ def test_prepare_rejects_bad_dt(dt, capsys):
     assert "dt must be finite and positive" in capsys.readouterr().err
 
 
+def test_prepare_rejects_a_step_count_past_2_to_the_53(capsys):
+    # ~1e301 steps: past 2**53 the step times k*h are no longer distinct
+    assert run_cli(["prepare", "--target", "6", "--dt", "1e-300"]) == 4
+    err = capsys.readouterr().err
+    assert "dt=1e-300 is too small" in err and "2**53" in err
+
+
 
 @pytest.mark.parametrize("argv", [
     ["scaling", "8", "16", "32", "--lambda", "nan"],
@@ -253,8 +260,9 @@ def test_scaling_bad_nmax():
 def test_check_command(capsys):
     assert run_cli(["check", "--nmax", "300"]) == 0
     out = capsys.readouterr().out
-    assert "11/11 invariants hold" in out
+    assert "12/12 invariants hold" in out
     assert "period map matches stepping" in out
+    assert "fused chunks match single steps" in out
     assert "FAIL" not in out
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import primecavity.dynamics
@@ -367,3 +367,63 @@ def test_no_map_above_the_size_rule():
         tracemalloc.stop()
     assert peak < n * n  # a sixteenth of the map's 16*n^2 bytes
     assert np.array_equal(jumped, _final(basis, coupling, drive, t_final, dt, 7))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    target=st.integers(2, 30),
+    model=st.sampled_from(COUPLING_MODELS),
+    units=st.sampled_from([Units(), Units(hbar=1.3, omega=0.7)]),
+    stride=st.integers(1, 60).filter(lambda s: s % 8),
+    periods=st.floats(0.6, 3.5),
+)
+def test_fused_chunks_match_single_steps(target, model, units, stride, periods):
+    basis = build_basis(2 * target + 2, units)
+    coupling = build_coupling(basis, model, 1e-3)
+    drive = DriveConfig.resonant(basis, target)
+    dt = max_stable_dt(basis, coupling) / 2
+    t_final = periods * 2.0 * math.pi / drive.frequency
+    assume(int(t_final // step_grid(t_final, dt, drive.frequency)[0]) % 8)
+    fused = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt,
+                      sample_stride=stride)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primecavity.dynamics, "_CHUNK", 1)
+        single = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt,
+                           sample_stride=stride)
+    assert np.array_equal(fused.times, single.times)
+    assert np.abs(fused.states - single.states).max() <= 1e-12
+
+
+def test_final_state_does_not_depend_on_the_stride():
+    # 3.3 periods at n = 30: the map would cost more than it saves, so every
+    # stride runs the same chunks and reads its samples off copies
+    basis, coupling, drive = _uniform_setup(30, 14, 1e-3)
+    dt = max_stable_dt(basis, coupling) / 2
+    t_final = 3.3 * 2.0 * math.pi / drive.frequency
+    first, *others = (_final(basis, coupling, drive, t_final, dt, s) for s in (1, 7, 10**9))
+    assert all(np.array_equal(first, other) for other in others)
+
+
+def test_map_build_holds_the_map_and_one_buffer():
+    # n = 402 over three periods with the map forced and no samples: the
+    # identity is stepped in place, so the traced peak stays near two n x n arrays
+    n = 402
+    basis, coupling, drive = _uniform_setup(n, 200, 1e-3)
+    dt = max_stable_dt(basis, coupling)
+    t_final = 3 * 2.0 * math.pi / drive.frequency
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primecavity.dynamics, "_STEP_OVERHEAD", 10**12)  # the map always pays
+        tracemalloc.start()
+        try:
+            _final(basis, coupling, drive, t_final, dt, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert 16 * n * n < peak <= 2.5 * 16 * n * n
+
+
+def test_step_grid_rejects_more_than_2_to_the_53_steps():
+    assert step_grid(2.0**53, 1.0, 1e-300) == (1.0, 0)
+    for t_final, dt in [(2.0**54, 1.0), (1.0, 1e-300), (1e300, 1e-300)]:
+        with pytest.raises(ValueError, match=f"^dt={dt:g} is too small"):
+            step_grid(t_final, dt, 1e-300)
