@@ -14,6 +14,7 @@ threads; construction itself is single-threaded.
 import csv
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,11 @@ class CavityBasis:
     def __post_init__(self):
         if operator.index(self.n_max) < 2:
             raise ValueError(f"need the vacuum plus one excited level (got n_max={self.n_max})")
+        if not math.isfinite(self.units.energy_scale * math.log(self.n_max)):
+            raise ValueError(f"hbar*omega={self.units.energy_scale:g} is too large: "
+                             f"the energy of level {self.n_max} overflows")
+        if self.n_max > np.iinfo(np.intp).max // 8:  # numpy refuses these sizes outright
+            raise MemoryError(f"numpy cannot hold a basis of {self.n_max} levels")
         e = self.units.energy_scale * np.log(np.arange(1, self.n_max + 1, dtype=float))
         e.setflags(write=False)
         object.__setattr__(self, "energy_vector", e)
@@ -156,6 +162,9 @@ def build_coupling(basis: CavityBasis, model: str, strength: float) -> CouplingO
         raise ConfigurationError(
             f"unknown coupling model {model!r}; choose one of {COUPLING_MODELS}"
         )
+    if abs(row[-1]) < sys.float_info.min:  # the smallest entry in either model
+        raise ValueError(f"lambda={strength:g} is too small: the coupling to level {n} is "
+                         f"{abs(row[-1]):.3g}, below the smallest normal float")
     return CouplingOperator(model=model, strength=strength, vacuum_row=row)
 
 

@@ -209,7 +209,7 @@ def propagate(
     off single steps taken on a copy, so the final state does not depend on
     sample_stride unless U is built. With C = K//_CHUNK + K%_CHUNK kernel calls a
     period, n levels, P sample-free periods and c = _STEP_OVERHEAD, U (16*n^2
-    bytes) is built once when C*c + K*10n^2 + P*n^2 < P*(C*c + K*10n), and each
+    bytes) is built once when C*c + K*10n^2 + 1.4P*n^2 < P*(C*c + K*10n), and each
     such period is psi <- U psi; a period is sample-free only if K divides
     sample_stride or the run holds no sample. One step shorter than h ends the
     run at t_final. Samples: t = 0, multiples of sample_stride*h more than h/2
@@ -271,7 +271,9 @@ def propagate(
     n = basis.n_max
     calls = per_period // chunk + per_period % chunk
     free = whole // per_period if sample_stride % per_period == 0 or sample_stride >= grid else 0
-    if (calls * _STEP_OVERHEAD + per_period * 10 * n * n + free * n * n
+    # U @ psi streams U from memory: an element costs ~1.4 kernel element operations
+    # (run_prepare at 8% target weight, 1 BLAS thread: stepping wins from n ~ 1450)
+    if (calls * _STEP_OVERHEAD + per_period * 10 * n * n + 1.4 * free * n * n
             < free * (calls * _STEP_OVERHEAD + per_period * 10 * n)):
         u_map = advance(np.eye(n, dtype=complex), 0, per_period)[0]
     x = psi0.amplitudes.astype(complex)[:, None]

@@ -45,6 +45,7 @@ from .encoding import (
 from .errors import ConfigurationError
 from .perturbation import (
     FIRST_ORDER_LIMIT,
+    _discrimination_times,
     discrimination_time,
     excitation_probability,
 )
@@ -360,8 +361,7 @@ def run_scaling(
     basis = build_basis(n_max, units)
     coupling = build_coupling(basis, model, strength)
     records = []
-    for n in targets:
-        t_disc = discrimination_time(n, basis, coupling, kappa=kappa, mode=mode)
+    for n, t_disc in zip(targets, _discrimination_times(targets, basis, coupling, kappa, mode)):
         energy = level_energy(n, units)
         product = t_disc * energy
         ratio = product / (units.hbar * n * math.log(n))
@@ -399,18 +399,8 @@ _SCALING_COLUMNS = ["N", "bit_size", "t_disc", "energy", "product", "ratio"]
 def scaling_csv_text(study: ScalingStudy) -> str:
     lines = [f"# manifest: {json.dumps(study.manifest)}", ",".join(_SCALING_COLUMNS)]
     for r in study.records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.label),
-                    _fmt(r.bit_size),
-                    _fmt(r.t_disc),
-                    _fmt(r.energy),
-                    _fmt(r.product),
-                    _fmt(r.ratio),
-                ]
-            )
-        )
+        floats = (r.bit_size, r.t_disc, r.energy, r.product, r.ratio)
+        lines.append(",".join([str(r.label), *map(_fmt, floats)]))
     return "\n".join(lines) + "\n"
 
 
@@ -430,17 +420,8 @@ def read_scaling_csv(path) -> tuple[tuple[ScalingRecord, ...], dict]:
         header = next(reader)
         if header != _SCALING_COLUMNS:
             raise ValueError(f"unexpected scaling columns {header}")
-        records = tuple(
-            ScalingRecord(
-                label=int(row[0]),
-                bit_size=float(row[1]),
-                t_disc=float(row[2]),
-                energy=float(row[3]),
-                product=float(row[4]),
-                ratio=float(row[5]),
-            )
-            for row in reader
-        )
+        # columns in field order: label, bit_size, t_disc, energy, product, ratio
+        records = tuple(ScalingRecord(int(row[0]), *map(float, row[1:6])) for row in reader)
     return records, manifest
 
 
@@ -461,26 +442,14 @@ def write_gnuplot_script(csv_path, kind: str) -> Path:
     """Emit a small plot script next to an exported CSV; returns its path."""
     csv_path = Path(csv_path)
     gp = csv_path.with_suffix(".gp")
-    if kind == "scaling":
-        body = (
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set logscale xy\n"
-            "set xlabel 'N'\n"
-            "set ylabel 'preparation time'\n"
-            f"plot '{csv_path.name}' using 1:3 with linespoints\n"
-        )
-    elif kind == "spectrum":
-        body = (
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set xlabel 'N'\n"
-            "set ylabel 'energy'\n"
-            f"plot '{csv_path.name}' using 1:3 with points\n"
-        )
-    else:
+    templates = {"scaling": ("set logscale xy\n", "preparation time", "linespoints"),
+                 "spectrum": ("", "energy", "points")}
+    if kind not in templates:
         raise ConfigurationError(f"no plot template for {kind!r}")
-    gp.write_text(body)
+    logscale, ylabel, style = templates[kind]
+    gp.write_text(f"set datafile separator ','\nset key autotitle columnhead\n{logscale}"
+                  f"set xlabel 'N'\nset ylabel '{ylabel}'\n"
+                  f"plot '{csv_path.name}' using 1:3 with {style}\n")
     return gp
 
 

@@ -3,7 +3,7 @@
 These deliberately avoid the package's own code paths: factorization by
 naive trial division, and a separately written dense-matrix RK4 integrator
 for cross-checking the production propagator. The one exception is the
-unpruned discrimination scan, which must repeat the package's arithmetic
+unpruned discrimination references, which must repeat the package's arithmetic
 expression for expression to serve as a bit-for-bit reference.
 """
 
@@ -66,6 +66,28 @@ def oracle_rk4(n_max, lam, drive_freq, t_final, dt, hbar=1.0, omega=1.0):
     return psi
 
 
+def _full_competitors(target, basis, coupling):
+    """Detunings and coupling magnitudes of every excited level but the target."""
+    labels = np.arange(2, basis.n_max + 1)
+    labels = labels[labels != target]
+    gap = labels - target
+    omega = basis.units.omega
+    delta = omega * np.sign(gap) * np.log1p(np.abs(gap) / np.minimum(labels, target))
+    return delta, np.abs(coupling.vacuum_row[labels - 1])
+
+
+def unpruned_envelope_time(target, basis, coupling, kappa):
+    """The envelope discrimination time from a maximum over the whole basis.
+
+    Same detunings and expression order as perturbation.discrimination_time,
+    with no window, so that the package's windowed search can be checked
+    against it bit for bit.
+    """
+    delta, mags = _full_competitors(target, basis, coupling)
+    w_target = abs(complex(coupling.vacuum_row[target - 1]))
+    return 2.0 * math.sqrt(kappa) * float(np.max(mags / np.abs(delta))) / w_target
+
+
 def unpruned_instantaneous_time(target, basis, coupling, kappa):
     """The instantaneous discrimination scan over every competitor, unpruned.
 
@@ -74,13 +96,9 @@ def unpruned_instantaneous_time(target, basis, coupling, kappa):
     package's competitor pruning can be checked against it bit for bit.
     """
     hbar, omega = basis.units.hbar, basis.units.omega
-    labels = np.arange(2, basis.n_max + 1)
-    labels = labels[labels != target]
-    gap = labels - target
-    delta = omega * np.sign(gap) * np.log1p(np.abs(gap) / np.minimum(labels, target))
-    mags = np.abs(coupling.vacuum_row[labels - 1])
+    delta, mags = _full_competitors(target, basis, coupling)
     w_target = abs(complex(coupling.vacuum_row[target - 1]))
-    t_envelope = 2.0 * math.sqrt(kappa) * float(np.max(mags / np.abs(delta))) / w_target
+    t_envelope = unpruned_envelope_time(target, basis, coupling, kappa)
 
     period = 2.0 * math.pi / (omega * math.log1p(1.0 / target))
     step = period / 64

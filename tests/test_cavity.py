@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,32 @@ def test_non_finite_coupling_rejected(bad):
     m[0, 2] = m[2, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         CouplingOperator(model="x", strength=1e-3, matrix=m)
+
+
+@pytest.mark.parametrize("n_max", [2**62, 2**63 - 1, 10**20])
+def test_basis_numpy_cannot_size_is_a_memory_error(n_max):
+    # numpy refuses the first and the last; the second's length it would wrap to 0
+    with pytest.raises(MemoryError, match=f"numpy cannot hold a basis of {n_max} levels"):
+        build_basis(n_max)
+
+
+@pytest.mark.parametrize("model,strength,n_max,level", [
+    ("star-uniform", 5e-324, 8, 8),
+    ("star-uniform", 2e-308, 8, 8),
+    ("star-decay", 1e-320, 1001, 1001),
+    ("star-decay", 2.3e-307, 1001, 1001),  # normal, but lambda/sqrt(1001) is not
+])
+def test_subnormal_coupling_entries_name_lambda(model, strength, n_max, level):
+    with pytest.raises(ValueError, match=f"^lambda={strength:g} is too small: the coupling "
+                                         f"to level {level} is"):
+        build_coupling(build_basis(n_max), model, strength)
+
+
+def test_smallest_normal_coupling_is_accepted():
+    tiny = sys.float_info.min
+    assert build_coupling(build_basis(8), "star-uniform", tiny).vacuum_row[-1] == tiny
+    decay = build_coupling(build_basis(100), "star-decay", 10 * tiny)
+    assert abs(decay.vacuum_row[-1]) >= tiny
 
 
 def test_unknown_model_is_configuration_error():

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import traceback
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import primecavity.experiments
 from primecavity import cli
@@ -176,6 +182,89 @@ def test_underflowing_detuning_names_omega(mode, capsys):
     err = capsys.readouterr().err
     assert "omega=2.3e-308 is too small for target 8" in err
     assert "its detunings underflow or t_disc is inf" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    # lambda/sqrt(1001) is subnormal: t_disc came out 6327.71875 instead of 6324.555...
+    (["scaling", "8", "16", "1000", "--coupling-model", "star-decay", "--lambda", "1e-320"],
+     "lambda=9.99989e-321 is too small: the coupling to level 1001 is 3.16e-322, "
+     "below the smallest normal float"),
+    (["scaling", "8", "16", "--lambda", "5e-324"],
+     "lambda=4.94066e-324 is too small: the coupling to level 17 is 4.94e-324, "
+     "below the smallest normal float"),
+    (["scaling", "8", "16", "--lambda", "1e308"],
+     "lambda=1e+308 is too large for target 8: its w_M/Delta_M overflows"),
+    (["prepare", "--target", "6", "--lambda", "1e308", "--mode", "instantaneous"],
+     "lambda=1e+308 is too large for target 6: its w_M/Delta_M overflows"),
+])
+def test_coupling_magnitudes_that_break_t_disc_name_lambda(argv, message, capsys):
+    assert run_cli(argv) == 4
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--nmax", "99999999999999999999"],
+    ["check", "--nmax", "9223372036854775807"],
+    ["scaling", "8", "16", "--nmax", "99999999999999999999"],
+    ["scaling", "8", "16", "--nmax", "9223372036854775807"],
+    ["spectrum", "--nmax", "4611686018427387904"],
+    ["prepare", "--target", "8", "--nmax", "9223372036854775807"],
+])
+def test_basis_sizes_numpy_refuses_are_out_of_memory(argv, capsys):
+    assert run_cli(argv) == 4
+    captured = capsys.readouterr()
+    message = f"not enough memory for a basis of {argv[-1]} levels"
+    assert captured.err == f"configuration error: {message}\n"
+    assert "FAIL" not in captured.out and "invariants hold" not in captured.out
+
+
+def _run_in_process(argv):
+    """Exit code and stderr of cli.main, with any warning or traceback written to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except BaseException:  # noqa: BLE001 - the oracle reports it
+            traceback.print_exc()
+            code = None
+    err.writelines(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, err.getvalue()
+
+
+_ODD_FLOATS = st.one_of(  # the edges of the float range, and any float at all
+    st.sampled_from([0.0, 5e-324, 1e-320, 2.3e-308, 1e-300, 1e-3, 1e300, 1e308, float("inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    targets=st.one_of(st.lists(st.integers(2, 10**5), min_size=1, max_size=4),
+                      st.lists(st.integers(-2, 10**5), min_size=1, max_size=4)),
+    extra=st.one_of(st.none(), st.integers(-3, 10**6 - 10**5)),
+    kappa=st.one_of(st.floats(1.0, 1e6), st.floats(-1e6, 1e6), st.just(float("nan"))),
+    mode=st.sampled_from(["envelope", "instantaneous"]),
+    model=st.sampled_from(["star-uniform", "star-decay"]),
+    strength=st.one_of(st.just(1e-3), _ODD_FLOATS),
+    unit=st.sampled_from(["--hbar", "--omega"]),
+    unit_value=st.one_of(st.just(1.0), _ODD_FLOATS),
+)
+def test_scaling_cli_fuzz_exits_0_or_4_without_traceback_or_warning(
+        targets, extra, kappa, mode, model, strength, unit, unit_value):
+    # inputs stay below ~100 MB: targets <= 10**5, --nmax <= 10**6, --kappa <= 10**6
+    if mode == "instantaneous":
+        # the scan evaluates every decisive level on ~64*sqrt(kappa)/pi grid points; at
+        # N = 2 and kappa = 1e4 that is every level (5.7 s at --nmax 10**5), at 100 it is 24
+        kappa = min(kappa, 100.0)
+    argv = ["scaling", *map(str, targets), "--mode", mode, "--coupling-model", model,
+            f"--kappa={kappa!r}", f"--lambda={strength!r}", f"{unit}={unit_value!r}"]
+    if extra is not None:
+        argv.append(f"--nmax={max(targets) + 1 + extra}")
+    code, err = _run_in_process(argv)
+    assert code in (0, 4), (argv, code, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
 
 
 @pytest.mark.parametrize("argv,runner,size", [

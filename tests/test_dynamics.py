@@ -353,7 +353,7 @@ def test_run_without_a_whole_period_steps_on_the_plain_grid(frequency, t_final):
 
 
 def test_no_map_above_the_size_rule():
-    # n = 3000 over three periods: K*(c + 10n^2) + 3n^2 exceeds the stepping
+    # n = 3000 over three periods: K*(c + 10n^2) + 3*1.4n^2 exceeds the stepping
     # work 3K*(c + 10n), so the 144 MB map is never built
     n = 3000
     basis, coupling, drive = _uniform_setup(n, 2, 1e-3)
@@ -367,6 +367,28 @@ def test_no_map_above_the_size_rule():
         tracemalloc.stop()
     assert peak < n * n  # a sixteenth of the map's 16*n^2 bytes
     assert np.array_equal(jumped, _final(basis, coupling, drive, t_final, dt, 7))
+
+
+def test_prepare_sizes_to_44_levels_build_the_period_map(monkeypatch):
+    # targets 6..21 at 8% target weight (n = 14..44): the map stays cheaper than stepping
+    widths = []
+    lawson = primecavity.dynamics._lawson_steps
+
+    def spy(*args):
+        stages, chunks, run = lawson(*args)
+
+        def run_spy(x, table):
+            widths.append(x.shape[1])  # n columns: the map is being built
+            return run(x, table)
+
+        return stages, chunks, run_spy
+
+    monkeypatch.setattr(primecavity.dynamics, "_lawson_steps", spy)
+    for target in range(6, 22):
+        widths.clear()
+        strength = math.sqrt(0.08) * math.log1p(1.0 / target) / math.sqrt(10.0)
+        assert run_prepare(target, strength=strength).status == "pass"
+        assert max(widths) == 2 * target + 2, target
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 
@@ -11,6 +12,7 @@ import primecavity.perturbation
 from primecavity import (
     COUPLING_MODELS,
     ConfigurationError,
+    CouplingOperator,
     Units,
     build_basis,
     build_coupling,
@@ -22,7 +24,9 @@ from primecavity import (
     run_scaling,
 )
 
-from helpers import unpruned_instantaneous_time
+from primecavity.perturbation import _discrimination_times
+
+from helpers import unpruned_envelope_time, unpruned_instantaneous_time
 
 # frozen from 40-digit evaluation of the closed forms
 P_AT_3_FROM_2 = 4.900575098632455e-4      # w=0.01, t=10, resonance on 2
@@ -34,6 +38,21 @@ def test_resonant_limit_is_quadratic():
     # removable singularity handled analytically: p = (w*t/2)^2
     assert excitation_probability(6, 6, 10.0, 0.01) == pytest.approx(2.5e-3, rel=1e-15)
     assert excitation_probability(2, 2, 0.0, 0.5) == 0.0
+
+
+def test_resonant_probability_computes_no_detuning(monkeypatch):
+    plain = excitation_probability(6, 6, 10.0, 0.01)
+    full = excitation_probability(6, 6, 10.0, 0.01, counter_rotating=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("detuning computed on resonance")
+
+    monkeypatch.setattr(primecavity.perturbation, "_detunings", refuse)
+    assert excitation_probability(6, 6, 10.0, 0.01) == plain
+    assert excitation_probability(6, 6, 10.0, 0.01, counter_rotating=True) == full
+    for m, target in ((1, 1), (1, 6), (6, 1)):
+        with pytest.raises(ValueError, match="excited labels start at 2"):
+            excitation_probability(m, target, 1.0, 0.01)
 
 
 def test_off_resonant_frozen_value():
@@ -370,3 +389,115 @@ def test_discrimination_time_names_omega_when_the_detuning_underflows(mode):
     coupling = build_coupling(basis, "star-uniform", 1e-3)
     with pytest.raises(ConfigurationError, match="^omega=2.3e-308 is too small for target 8"):
         discrimination_time(8, basis, coupling, mode=mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    targets=st.lists(st.integers(2, 300), min_size=1, max_size=6),
+    spread=st.floats(0.0, 1.0),
+    kappa=st.floats(1.0, 1e4),
+    model=st.sampled_from([*COUPLING_MODELS, "general"]),
+    mode=st.sampled_from(["envelope", "instantaneous"]),
+    units=st.sampled_from([Units(), Units(hbar=1.3, omega=0.7)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windowed_sweep_equals_unpruned_references(targets, spread, kappa, model, mode, units,
+                                                   seed):
+    # n_max from N+1 to 2N+2 for the top target N; every t_disc the same to the bit
+    top, labels = max(targets), sorted(set(targets))
+    basis = build_basis(top + 1 + round(spread * (top + 1)), units)
+    if model == "general":  # phases, a tenfold spread and two spikes: windows go wide
+        rng = np.random.default_rng(seed)
+        phases = np.exp(2j * np.pi * rng.random(basis.n_max))
+        row = 1e-3 * rng.uniform(0.1, 1.0, basis.n_max) * phases
+        row[rng.integers(1, basis.n_max, size=2)] *= 4.0
+        row[0] = 0.0
+        coupling = CouplingOperator("general", 1e-3, row)
+        kappa = kappa if mode == "envelope" else min(kappa, 100.0)  # keeps the scan grid small
+        times = _discrimination_times(labels, basis, coupling, kappa, mode)
+    else:
+        coupling = build_coupling(basis, model, 1e-3)
+        study = run_scaling(targets, kappa, mode, model, units=units, n_max=basis.n_max)
+        times = [r.t_disc for r in study.records]
+    reference = unpruned_instantaneous_time if mode == "instantaneous" else unpruned_envelope_time
+    assert times == [reference(n, basis, coupling, kappa) for n in labels]
+
+
+@pytest.mark.parametrize("mode", ["envelope", "instantaneous"])
+def test_windowed_sweep_memory_is_bounded(mode):
+    # ~200 star-decay targets to 10**6: windows reach thousands of levels, searched in blocks
+    targets = sorted(set(np.geomspace(8, 10**6, 200).astype(int).tolist()))
+    basis = build_basis(10**6 + 1)
+    coupling = build_coupling(basis, "star-decay", 1e-3)
+    tracemalloc.start()
+    try:
+        times = _discrimination_times(targets, basis, coupling, 10.0, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # |vacuum_row| is 8 MB; one window pass over every target at once would add ~40 MB
+    assert peak < 16e6
+    envelope = 2 * math.sqrt(10) / math.log1p(1e-6)  # near it: the upper neighbour decides
+    assert 0.7 * envelope < times[-1] < envelope * (1 + 1e-6)
+
+
+def test_general_row_window_grows_to_the_whole_basis_in_blocks():
+    # the coupling to level 2 dwarfs the rest, so no window short of the basis can stop
+    basis = build_basis(100_001)
+    row = np.full(basis.n_max, 1e-3, dtype=complex)
+    row[0], row[1] = 0.0, 1e3
+    coupling = CouplingOperator("general", 1e-3, row)
+    targets = list(range(1_000, 100_000, 2_000))
+    tracemalloc.start()
+    try:
+        times = _discrimination_times(targets, basis, coupling, 10.0, "envelope")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6  # one pass over all 50 whole-basis rows at once would take ~80 MB each
+    for n in targets[::7]:
+        assert times[targets.index(n)] == unpruned_envelope_time(n, basis, coupling, 10.0)
+
+
+@pytest.mark.parametrize("mode", ["envelope", "instantaneous"])
+@pytest.mark.parametrize("kappa", [1.0, 10.0])
+@pytest.mark.parametrize("spike,factor", [(73, 30.0), (7, 100.0)])
+def test_worst_competitor_just_outside_the_first_window(spike, factor, kappa, mode):
+    # target 40 reads 8..72 first; the spike outside outweighs every level inside
+    basis = build_basis(200)
+    row = np.full(200, 1e-3, dtype=complex)
+    row[0], row[spike - 1] = 0.0, factor * 1e-3
+    coupling = CouplingOperator("general", 1e-3, row)
+    inside = 1.0 / math.log1p(1.0 / 40)
+    assert factor / abs(detuning(spike, 40)) > inside
+    reference = unpruned_instantaneous_time if mode == "instantaneous" else unpruned_envelope_time
+    assert discrimination_time(40, basis, coupling, kappa, mode) == reference(
+        40, basis, coupling, kappa)
+
+
+@pytest.mark.parametrize("mode", ["envelope", "instantaneous"])
+def test_overflowing_coupling_ratio_names_lambda(mode):
+    basis = build_basis(17)
+    coupling = build_coupling(basis, "star-uniform", 1e308)
+    message = r"^lambda=1e\+308 is too large for target 8: its w_M/Delta_M overflows"
+    with pytest.raises(ConfigurationError, match=message):
+        discrimination_time(8, basis, coupling, mode=mode)
+
+
+@pytest.mark.parametrize("strength,units", [
+    (1e-200, Units()),               # p_target underflows: the scan returned t_envelope
+    (1e150, Units()),                # p_target overflows: the scan returned the half-beat floor
+    (1e-3, Units(hbar=1e-200)),
+])
+def test_scan_probabilities_past_the_float_range_name_lambda_and_hbar(strength, units):
+    basis = build_basis(5408, units)
+    coupling = build_coupling(basis, "star-uniform", strength)
+    message = re.escape(f"lambda={strength:g} with hbar={units.hbar:g} puts the first-order "
+                        f"probabilities of target 5407 past the float range")
+    with pytest.raises(ConfigurationError, match=message):
+        discrimination_time(5407, basis, coupling, mode="instantaneous")
+    # lambda cancels: inside the range the scan gives the same time for any coupling
+    plain = build_coupling(basis, "star-uniform", 1e-150 if strength < 1 else 1e100)
+    reference = build_coupling(build_basis(5408), "star-uniform", 1e-3)
+    assert discrimination_time(5407, basis, plain, mode="instantaneous") == pytest.approx(
+        discrimination_time(5407, build_basis(5408), reference, mode="instantaneous"), rel=1e-12)
