@@ -200,6 +200,11 @@ def run_prepare(
             f"|<1|W|{target}>| <= {lam_max:.3g}"
         )
 
+    # the integrator sums w.w, which must stay finite (vdot warns of no overflow)
+    if not math.isfinite(np.vdot(coupling.vacuum_row, coupling.vacuum_row).real):
+        raise ConfigurationError(f"lambda={strength:g} is too large for {n_max} levels: "
+                                 f"the coupling's w.w overflows")
+
     if dt is None:
         dt = max_stable_dt(basis, coupling) / 2.0
 
@@ -365,6 +370,9 @@ def run_scaling(
         energy = level_energy(n, units)
         product = t_disc * energy
         ratio = product / (units.hbar * n * math.log(n))
+        if not (math.isfinite(product) and math.isfinite(ratio)):
+            raise ConfigurationError(f"hbar={units.hbar:g} and omega={units.omega:g} put the "
+                                     f"time-energy product of target {n} past the float range")
         records.append(
             ScalingRecord(
                 label=n,

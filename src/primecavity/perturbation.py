@@ -32,29 +32,26 @@ FIRST_ORDER_LIMIT = 0.1
 # grid resolution for the instantaneous-mode scan: the nearest-neighbor beat
 # period must be resolved
 _SCAN_POINTS_PER_PERIOD = 64
-# competitors per block of that scan, which bounds its memory at O(block x grid)
-_SCAN_BLOCK_ROWS = 1024
-# discrimination_time's first competitor window N-32..N+32, the labels its search
-# holds at once, and the relative slack on its bound for the levels outside
+# discrimination_time's first competitor window N-32..N+32, the labels (or scan grid
+# cells) its search holds at once, and the relative slack on its bound for the levels outside
 _WINDOW, _WINDOW_CELLS, _BOUND_MARGIN = 32, 1 << 16, 1e-9
 
 
 def _detunings(labels, target: int, units: Units):
-    """omega*log(M/N) as +-omega*log1p(|M-N|/min(M, N)); labels: an int or an array.
+    """|omega*log(M/N)| as omega*log1p(|M-N|/min(M, N)); labels: an int or an array.
 
     Subtracting log(M) - log(N) cancels for the nearest neighbours, which set
-    the discrimination time; log1p of the exact integer gap does not. Taking
-    the sign apart keeps Delta(M, N) = -Delta(N, M) exact.
+    the discrimination time; log1p of the exact integer gap does not. detuning
+    puts the sign back, which keeps Delta(M, N) = -Delta(N, M) exact.
     """
-    gap = np.asarray(labels) - target
-    return units.omega * np.sign(gap) * np.log1p(np.abs(gap) / np.minimum(labels, target))
+    return units.omega * np.log1p(np.abs(np.asarray(labels) - target) / np.minimum(labels, target))
 
 
 def detuning(m: int, target: int, units: Units = Units()) -> float:
     """Drive detuning of level M when the drive sits on level N."""
     if m < 2 or target < 2:
         raise ValueError("excited labels start at 2")
-    return float(_detunings(m, target, units)) if m != target else 0.0
+    return math.copysign(float(_detunings(m, target, units)), m - target) if m != target else 0.0
 
 
 def excitation_probability(
@@ -159,11 +156,15 @@ def discrimination_time(
     first-order dominance would otherwise hold from the first grid point.
     With that floor t_disc*E_N stays above hbar*N*log(N) for every kappa.
 
-    Competitors whose kappa-scaled envelope (w_M/hbar)^2/Delta_M^2 is below
-    p_target at the floor are dropped first (at most 4 stay at kappa = 10):
-    past the floor p_target only grows, a grid value never exceeds its envelope
-    (sin^2 <= 1, rounding is monotone) and kappa*max(a, b) = max(kappa*a,
-    kappa*b), so they decide no point and the result is the same to the bit.
+    Each competitor is evaluated only on the grid prefix where it can decide:
+    from the floor up to its cutoff, the first grid index where its
+    kappa-scaled envelope (w_M/hbar)^2/Delta_M^2 is at most p_target (at most
+    4 competitors reach past the floor at kappa = 10). p_target does not
+    decrease along the grid, a grid value never exceeds its envelope (sin^2 <=
+    1, rounding is monotone) and kappa*max(a, b) = max(kappa*a, kappa*b), so a
+    competitor decides no point past its cutoff and the result is the same to
+    the bit. A NaN envelope keeps the whole grid. The scan costs the sum of
+    the competitors' prefixes, not competitors x grid.
 
     Only the labels N-h..N+h are read, h = 32 and then 4x wider while needed.
     A level outside has w_M/|Delta_M| <= max|w|/|Delta_edge|, Delta_edge being
@@ -175,14 +176,15 @@ def discrimination_time(
 
     A ConfigurationError names kappa for a grid past memory (~64*(sqrt(kappa)/pi
     + 1) points), omega for a subnormal nearest detuning or an infinite t_disc,
-    lambda for an overflowing w_M/Delta_M, and lambda and hbar for probabilities
-    past the float range (both cancel from t_disc, but not from its rounding).
+    lambda for an overflowing w_M/Delta_M, lambda and omega for one that
+    underflows, and lambda and hbar for probabilities past the float range
+    (both cancel from t_disc, but not from its rounding).
     """
     return _discrimination_times([target], basis, coupling, kappa, mode)[0]
 
 
 def _discrimination_times(targets, basis, coupling, kappa, mode) -> list[float]:
-    """discrimination_time of each target, from one windowed competitor search."""
+    """discrimination_time of each target, from one windowed search and one batched scan."""
     if not (math.isfinite(kappa) and kappa >= 1):
         raise ValueError(f"kappa must be finite and >= 1 (got {kappa})")
     if mode not in ("envelope", "instantaneous"):
@@ -194,27 +196,27 @@ def _discrimination_times(targets, basis, coupling, kappa, mode) -> list[float]:
                              f"(target={target}, n_max={n_max})")
     if coupling.n_max != n_max:
         raise ValueError("coupling and basis dimensions differ")
-    n, mags = np.array(targets, dtype=np.int64), np.abs(coupling.vacuum_row)
-    w_max = np.maximum.reduce(mags)
+    n, mags, w_max = np.array(targets, dtype=np.int64), np.abs(coupling.vacuum_row), None
     worst, lo, hi = np.empty(len(n)), np.empty_like(n), np.empty_like(n)
-    todo, h, out = np.arange(len(n)), _WINDOW, []
+    todo, h = np.arange(len(n)), _WINDOW
     with np.errstate(all="ignore"):  # overflow and underflow are reported by name, not warned
         while todo.size:  # widen the windows of the targets not yet done, block by block
             width, left = min(2 * h, n_max - 2), []  # competitors a window holds
             for start in range(0, todo.size, rows := max(1, _WINDOW_CELLS // width)):
                 i = todo[start : start + rows]
                 m = n[i]
-                lo[i] = np.minimum(np.maximum(m - h, 2), n_max - width)  # N-h..N+h inside 2..n_max
-                hi[i] = lo[i] + width
-                labels = lo[i, None] + np.arange(width)
+                first = np.minimum(np.maximum(m - h, 2), n_max - width)  # N-h..N+h inside 2..n_max
+                lo[i], hi[i] = first, first + width
+                labels = first[:, None] + np.arange(width)
                 labels += labels >= m[:, None]  # skip the target
-                delta = np.abs(_detunings(labels, m[:, None], units))
+                delta = _detunings(labels, m[:, None], units)
                 worst[i] = np.maximum.reduce(mags[labels - 1] / delta, axis=1)
                 if width == n_max - 2:  # the whole basis: nothing lies outside
                     continue
+                w_max = np.maximum.reduce(mags) if w_max is None else w_max  # on first need
                 # nearest label outside: the upper one where it exists, as the lower gap is larger
-                edge = np.where(hi[i] < n_max, hi[i] + 1, lo[i] - 1)
-                bound = w_max / np.abs(_detunings(edge, m, units)) * (1.0 + _BOUND_MARGIN)
+                edge = np.where(first + width < n_max, first + width + 1, first - 1)
+                bound = w_max / _detunings(edge, m, units) * (1.0 + _BOUND_MARGIN)
                 done = bound <= worst[i]
                 if mode == "instantaneous":  # p_target at the half-beat floor pi/(omega*log1p(1/N))
                     p_floor = (mags[m - 1] * math.pi / (units.omega * np.log1p(1.0 / m))
@@ -223,67 +225,103 @@ def _discrimination_times(targets, basis, coupling, kappa, mode) -> list[float]:
                 left.append(i[~done])
             todo, h = np.concatenate(left) if left else todo[:0], 4 * h
 
-        for target, w_worst, first, last in zip(targets, worst.tolist(), lo.tolist(), hi.tolist()):
-            w_target = abs(coupling.vacuum_coupling(target))  # np.abs can differ in the last bit
-            if w_target == 0:
+        # Python's abs and math.log1p, as np.abs and np.log1p can differ in the last bit;
+        # nearest is the detuning of M = N + 1, and hbar cancels from t_envelope
+        w_target = np.array([abs(coupling.vacuum_row.item(t - 1)) for t in targets])
+        nearest = [units.omega * math.log1p(1.0 / t) for t in targets]
+        times = 2.0 * math.sqrt(kappa) * worst / w_target  # not finite for w_target = 0
+        stop, tiny = len(targets), sys.float_info.min  # the targets before the first error
+        if not (min(nearest) >= tiny and math.isfinite(times.max()) and worst.min() >= tiny):
+            good = (np.array(nearest) >= tiny) & np.isfinite(times) & (worst >= tiny)
+            stop = int(np.argmin(good))
+        if mode == "instantaneous" and stop:
+            times[:stop] = _batched_scan(n[:stop], w_target[:stop], np.array(nearest[:stop]),
+                                         times[:stop], lo[:stop], hi[:stop], mags, coupling,
+                                         kappa, units)
+        if stop < len(targets):
+            target, w_worst, t_envelope = targets[stop], worst[stop], float(times[stop])
+            if w_target[stop] == 0:
                 raise ValueError("the drive cannot reach a target with zero vacuum coupling")
-            # hbar cancels between the resonant growth and the envelope
-            t_envelope = 2.0 * math.sqrt(kappa) * w_worst / w_target
-            nearest = units.omega * math.log1p(1.0 / target)  # the detuning of M = N + 1
-            if nearest >= sys.float_info.min and math.isinf(w_worst):
+            if nearest[stop] >= tiny and math.isinf(w_worst):
                 raise ConfigurationError(f"lambda={coupling.strength:g} is too large for target "
                                          f"{target}: its w_M/Delta_M overflows")
-            if not (nearest >= sys.float_info.min and math.isfinite(t_envelope)):
-                raise ConfigurationError(f"omega={units.omega:g} is too small for target {target}: "
-                                         f"its detunings underflow or t_disc is {t_envelope:.3g}")
-            if mode == "instantaneous":  # over the target's final window
-                labels = np.concatenate((np.arange(first, target), np.arange(target + 1, last + 1)))
-                t_envelope = _scan(target, labels, mags[labels - 1], coupling, t_envelope,
-                                   kappa, units)
-            out.append(t_envelope)
-    return out
+            if not (nearest[stop] >= tiny and math.isfinite(t_envelope)):
+                raise ConfigurationError(f"omega={units.omega:g} is too small for target "
+                                         f"{target}: its detunings underflow or t_disc is "
+                                         f"{t_envelope:.3g}")
+            raise ConfigurationError(f"lambda={coupling.strength:g} is too small for target "
+                                     f"{target} at omega={units.omega:g}: its w_M/Delta_M "
+                                     f"underflows")
+    return times.tolist()
 
 
-def _scan(target, labels, mags, coupling, t_envelope, kappa, units) -> float:
-    """The instantaneous-mode grid scan over the competitors with these labels."""
-    w_target = abs(coupling.vacuum_coupling(target))
-    period = 2.0 * math.pi / (units.omega * math.log1p(1.0 / target))
+def _batched_scan(n, w_target, nearest, t_envelope, lo, hi, mags, coupling, kappa, units):
+    """Instantaneous-mode times of targets n over the competitors of windows lo..hi.
+
+    Grid row i is k*step_i, k < ceil(stop_i/step_i): np.arange(0.0, stop_i, step_i) to the bit,
+    as arange fills start + k*step. Targets and competitors go in blocks of _WINDOW_CELLS cells.
+    """
+    hbar, floor = units.hbar, _SCAN_POINTS_PER_PERIOD // 2  # the half-beat floor
+    period = 2.0 * math.pi / nearest
     step = period / _SCAN_POINTS_PER_PERIOD
-    floor = _SCAN_POINTS_PER_PERIOD // 2  # the half-beat floor; the grid spans > 1 period
-
-    def out_of_range():  # lambda cancels from t_disc, but not once a probability overflows
-        return ConfigurationError(
-            f"lambda={coupling.strength:g} with hbar={units.hbar:g} puts the first-order "
-            f"probabilities of target {target} past the float range")
-
-    try:
-        times = np.arange(0.0, t_envelope + period + 2 * step, step)
-        p_target = (w_target * times / (2.0 * units.hbar)) ** 2
-        if not (p_target[floor] >= kappa * sys.float_info.min and math.isfinite(p_target[-1])):
-            raise out_of_range()
-        delta = _detunings(labels, target, units)
-        # keep if not below, so that a NaN envelope keeps its row
-        decisive = ~(kappa * ((mags / units.hbar) ** 2 / delta**2) < p_target[floor])
-        delta, mags = delta[decisive], mags[decisive]
-        # largest first-order p_M(t) over the competitors on the grid, one block
-        # of levels (rows) at a time; max is exact, so blocking changes no bit
-        worst_p = np.zeros_like(times)  # probabilities are non-negative
-        for lo in range(0, len(delta), _SCAN_BLOCK_ROWS):
-            d = delta[lo : lo + _SCAN_BLOCK_ROWS, None]
-            w = mags[lo : lo + _SCAN_BLOCK_ROWS, None]
-            comp = (w / units.hbar) ** 2 * np.sin(0.5 * (d * times)) ** 2 / d**2
-            np.maximum(worst_p, comp.max(axis=0), out=worst_p)
-    except (MemoryError, ValueError):  # ValueError: longer than a numpy array can be
-        size = (t_envelope + period) / step + 2
-        raise ConfigurationError(
-            f"kappa={kappa:g} needs a scan grid of {size:.3g} points, more than memory holds"
-        ) from None
-    if not np.isfinite(worst_p).all():
-        raise out_of_range()
-    ok = (p_target >= kappa * worst_p) & (p_target > 0.0)
-    ok[:floor] = False
-    # the first i with ok[i : i + window] all true: no failure counted in between
-    fails, window = np.concatenate(([0], np.cumsum(~ok))), _SCAN_POINTS_PER_PERIOD + 1
-    starts = np.flatnonzero(fails[window:] == fails[:-window])
-    # the envelope criterion guarantees permanence from t_envelope on
-    return float(times[starts[0]]) if starts.size else t_envelope
+    length = np.ceil((t_envelope + period + 2 * step) / step)  # the grid spans > 1 period
+    count, out = hi - lo, t_envelope.copy()  # competitors of each target
+    # targets a block holds: its grid rows and its competitors stay within the budget
+    per_block = int(max(1, _WINDOW_CELLS // max(length.max(), count.max())))  # 1 for nan
+    for start in range(0, len(n), per_block):
+        i = np.arange(start, min(start + per_block, len(n)))
+        # every competitor of the block: the labels of each window but its target, row by row
+        row = np.repeat(np.arange(len(i)), count[i])
+        labels = np.arange(row.size) + np.repeat(lo[i] - np.cumsum(count[i]) + count[i], count[i])
+        labels += labels >= n[i][row]
+        delta, w = _detunings(labels, n[i][row], units), mags[labels - 1]
+        q = kappa * ((w / hbar) ** 2 / delta**2)
+        try:
+            k = np.arange(int(length[i].max()))
+            grid = k * step[i, None]
+            p_target = (w_target[i, None] * grid / (2.0 * hbar)) ** 2
+            size, rows = length[i].astype(np.int64), np.arange(len(i))
+            inside = k < size[:, None]
+            # the others decide no grid time the scan reads (a nan envelope stays)
+            keep = np.flatnonzero(~(q <= p_target[row, floor]))
+            row, delta, w, q = row[keep], delta[keep], w[keep], q[keep]
+            # cutoffs, the first k with kappa*env <= p_target[k], from one search: complex
+            # numbers sort by (real, imag) and a nan imaginary part last, so the grid as
+            # row + 1j*p_target is sorted and row + 1j*nan lands past every row
+            grid_keys, keys = np.empty(grid.shape, complex), np.empty(row.size, complex)
+            grid_keys.real, grid_keys.imag, keys.real, keys.imag = rows[:, None], p_target, row, q
+            cut = np.searchsorted(grid_keys.ravel(), keys) - row * grid.shape[1]
+            cut = np.minimum(cut, size[row])
+            order = np.argsort(-cut, kind="stable")
+            # largest p_M(t) over the competitors, in blocks of similar cutoff; max is exact
+            worst_p, s, steps = np.zeros_like(grid), 0, step[i]  # probabilities are >= 0
+            while s < order.size:
+                c = order[s : s + max(1, _WINDOW_CELLS // (cut[order[s]] - floor))]
+                s, r, d = s + c.size, row[c], delta[c, None]
+                # c[0] has the largest cutoff; a block with a non-finite envelope is read from
+                # 0, as the check for probabilities past the float range reads the whole grid
+                cols = np.arange(floor if np.isfinite(q[c]).all() else 0, cut[c[0]])
+                times = cols * steps[r, None]
+                comp = (w[c, None] / hbar) ** 2 * np.sin(0.5 * (d * times)) ** 2 / d**2
+                np.maximum.at(worst_p.ravel(), (r[:, None] * len(k) + cols).ravel(), comp.ravel())
+        except (MemoryError, ValueError, OverflowError):  # ValueError: longer than numpy holds
+            grid_size = float(((t_envelope[i] + period[i]) / step[i] + 2).max())
+            raise ConfigurationError(f"kappa={kappa:g} needs a scan grid of {grid_size:.3g} "
+                                     f"points, more than memory holds") from None
+        # lambda cancels from t_disc, but not once a probability leaves the float range
+        bad = ~((p_target[:, floor] >= kappa * sys.float_info.min)
+                & np.isfinite(p_target[rows, size - 1]) & (np.isfinite(worst_p) | ~inside).all(1))
+        if bad.any():
+            raise ConfigurationError(
+                f"lambda={coupling.strength:g} with hbar={units.hbar:g} puts the first-order "
+                f"probabilities of target {n[i][bad][0]} past the float range")
+        ok = (p_target >= kappa * worst_p) & inside  # p_target > 0 from the floor on
+        ok[:, :floor] = False
+        # the first k with ok[k : k + window] all true: no failure counted in between
+        fails, window = np.zeros((len(i), ok.shape[1] + 1), np.int64), _SCAN_POINTS_PER_PERIOD + 1
+        np.cumsum(~ok, axis=1, out=fails[:, 1:])
+        starts = fails[:, window:] == fails[:, :-window]
+        first = starts.argmax(axis=1)
+        # the envelope criterion guarantees permanence from t_envelope on
+        out[i] = np.where(starts[rows, first], grid[rows, first], t_envelope[i])
+    return out

@@ -88,6 +88,23 @@ def unpruned_envelope_time(target, basis, coupling, kappa):
     return 2.0 * math.sqrt(kappa) * float(np.max(mags / np.abs(delta))) / w_target
 
 
+def scan_grid(target, basis, coupling, kappa):
+    """The instantaneous scan's grid, p_target on it and the envelope time, as the package's."""
+    period = 2.0 * math.pi / (basis.units.omega * math.log1p(1.0 / target))
+    step = period / 64
+    t_envelope = unpruned_envelope_time(target, basis, coupling, kappa)
+    times = np.arange(0.0, t_envelope + period + 2 * step, step)
+    w_target = abs(complex(coupling.vacuum_row[target - 1]))
+    return times, (w_target * times / (2.0 * basis.units.hbar)) ** 2, t_envelope
+
+
+def unpruned_cutoffs(target, basis, coupling, kappa):
+    """Each competitor's first grid index where kappa times its envelope is at most p_target."""
+    delta, mags = _full_competitors(target, basis, coupling)
+    p_target = scan_grid(target, basis, coupling, kappa)[1]
+    return np.searchsorted(p_target, kappa * ((mags / basis.units.hbar) ** 2 / delta**2))
+
+
 def unpruned_instantaneous_time(target, basis, coupling, kappa):
     """The instantaneous discrimination scan over every competitor, unpruned.
 
@@ -95,21 +112,15 @@ def unpruned_instantaneous_time(target, basis, coupling, kappa):
     perturbation.discrimination_time, written out in full so that the
     package's competitor pruning can be checked against it bit for bit.
     """
-    hbar, omega = basis.units.hbar, basis.units.omega
+    hbar = basis.units.hbar
     delta, mags = _full_competitors(target, basis, coupling)
-    w_target = abs(complex(coupling.vacuum_row[target - 1]))
-    t_envelope = unpruned_envelope_time(target, basis, coupling, kappa)
-
-    period = 2.0 * math.pi / (omega * math.log1p(1.0 / target))
-    step = period / 64
-    times = np.arange(0.0, t_envelope + period + 2 * step, step)
+    times, p_target, t_envelope = scan_grid(target, basis, coupling, kappa)
     worst_p = np.zeros_like(times)
     for lo in range(0, len(delta), 1024):
         d = delta[lo : lo + 1024, None]
         w = mags[lo : lo + 1024, None]
         comp = (w / hbar) ** 2 * np.sin(0.5 * (d * times)) ** 2 / d**2
         np.maximum(worst_p, comp.max(axis=0), out=worst_p)
-    p_target = (w_target * times / (2.0 * hbar)) ** 2
     ok = (p_target >= kappa * worst_p) & (p_target > 0.0)
     ok[:32] = False
     for i in np.flatnonzero(ok):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import traceback
@@ -219,9 +220,9 @@ def test_basis_sizes_numpy_refuses_are_out_of_memory(argv, capsys):
 
 
 def _run_in_process(argv):
-    """Exit code and stderr of cli.main, with any warning or traceback written to stderr."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+    """Exit code, stdout and stderr of cli.main, with any warning or traceback on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -230,7 +231,23 @@ def _run_in_process(argv):
             traceback.print_exc()
             code = None
     err.writelines(f"{w.category.__name__}: {w.message}\n" for w in caught)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv,message", [
+    # the energies 2.1e307 and 2.8e307 are finite; their products with t_disc were inf
+    (["scaling", "8", "16", "--hbar", "1e307"],
+     "hbar=1e+307 and omega=1 put the time-energy product of target 8 past the float range"),
+    # every w_M/Delta_M underflows to 0: t_disc 0 and a numpy warning from the fit
+    (["scaling", "2", "3", "4", "--lambda", "2.3e-308", "--omega", "1e300"],
+     "lambda=2.3e-308 is too small for target 2 at omega=1e+300: its w_M/Delta_M underflows"),
+    # w.w overflows in the integrator: numpy warnings, then exit 4 on NaN probabilities
+    (["prepare", "--target", "8", "--hbar", "1e300", "--lambda", "1e290"],
+     "lambda=1e+290 is too large for 18 levels: the coupling's w.w overflows"),
+])
+def test_values_past_the_float_range_exit_4_by_name(argv, message):
+    code, out, err = _run_in_process(argv)
+    assert (code, out, err) == (4, "", f"configuration error: {message}\n")
 
 
 _ODD_FLOATS = st.one_of(  # the edges of the float range, and any float at all
@@ -255,16 +272,19 @@ def test_scaling_cli_fuzz_exits_0_or_4_without_traceback_or_warning(
         targets, extra, kappa, mode, model, strength, unit, unit_value):
     # inputs stay below ~100 MB: targets <= 10**5, --nmax <= 10**6, --kappa <= 10**6
     if mode == "instantaneous":
-        # the scan evaluates every decisive level on ~64*sqrt(kappa)/pi grid points; at
-        # N = 2 and kappa = 1e4 that is every level (5.7 s at --nmax 10**5), at 100 it is 24
-        kappa = min(kappa, 100.0)
+        # the scan evaluates each decisive level on its grid prefix; at N = 2 and kappa = 1e4
+        # that is every level, ~2 s at --nmax 10**6 (kappa = 1e6 waits for a work bound)
+        kappa = min(kappa, 1e4)
     argv = ["scaling", *map(str, targets), "--mode", mode, "--coupling-model", model,
             f"--kappa={kappa!r}", f"--lambda={strength!r}", f"{unit}={unit_value!r}"]
     if extra is not None:
         argv.append(f"--nmax={max(targets) + 1 + extra}")
-    code, err = _run_in_process(argv)
+    code, out, err = _run_in_process(argv)
     assert code in (0, 4), (argv, code, err)
     assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code == 0:  # no inf or nan column: every number past the header is finite
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row), (argv, out)
 
 
 @pytest.mark.parametrize("argv,runner,size", [

@@ -26,7 +26,12 @@ from primecavity import (
 
 from primecavity.perturbation import _discrimination_times
 
-from helpers import unpruned_envelope_time, unpruned_instantaneous_time
+from helpers import (
+    scan_grid,
+    unpruned_cutoffs,
+    unpruned_envelope_time,
+    unpruned_instantaneous_time,
+)
 
 # frozen from 40-digit evaluation of the closed forms
 P_AT_3_FROM_2 = 4.900575098632455e-4      # w=0.01, t=10, resonance on 2
@@ -249,9 +254,9 @@ def test_instantaneous_scan_blocking_is_bit_identical(monkeypatch, model, n):
     coupling = build_coupling(basis, model, 1e-3)
     for kappa in (10.0, 1e4):  # 4 and over 100 competitors survive the pruning
         blocked = discrimination_time(n, basis, coupling, kappa, "instantaneous")
-        monkeypatch.setattr(primecavity.perturbation, "_SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(primecavity.perturbation, "_WINDOW_CELLS", 7)  # one level a block
         assert discrimination_time(n, basis, coupling, kappa, "instantaneous") == blocked
-        monkeypatch.setattr(primecavity.perturbation, "_SCAN_BLOCK_ROWS", 2 * n)  # one block
+        monkeypatch.setattr(primecavity.perturbation, "_WINDOW_CELLS", 1 << 30)  # one block
         assert discrimination_time(n, basis, coupling, kappa, "instantaneous") == blocked
         monkeypatch.undo()
 
@@ -278,6 +283,50 @@ def test_pruned_scan_equals_unpruned_reference_large_n(model, n, kappa):
     coupling = build_coupling(basis, model, 1e-3)
     t = discrimination_time(n, basis, coupling, kappa=kappa, mode="instantaneous")
     assert t == unpruned_instantaneous_time(n, basis, coupling, kappa)
+
+
+@pytest.mark.parametrize("model,n,kappa", [
+    ("star-uniform", 8, 10.0), ("star-decay", 40, 100.0), ("star-uniform", 199, 1e4),
+    ("star-decay", 8, 3.0), ("star-decay", 6, 100.0)])  # a cutoff one index early moves these
+def test_cutoff_inside_the_deciding_window_is_bit_identical(model, n, kappa):
+    basis = build_basis(2 * n + 2)
+    coupling = build_coupling(basis, model, 1e-3)
+    t = discrimination_time(n, basis, coupling, kappa, "instantaneous")
+    assert t == unpruned_instantaneous_time(n, basis, coupling, kappa)
+    # a competitor drops out of the scan inside the one-period window that sets t_disc; in the
+    # last two cases at its first point, so the cutoff itself decides t_disc
+    start = np.flatnonzero(scan_grid(n, basis, coupling, kappa)[0] == t)[0]
+    cutoffs = unpruned_cutoffs(n, basis, coupling, kappa)
+    assert np.any((cutoffs >= start) & (cutoffs < start + 65))
+
+
+@pytest.mark.parametrize("model", COUPLING_MODELS)
+def test_one_target_calls_equal_the_sweep_at_kappa_1e4(model):
+    # blocks of the sweep mix targets; at N = 2 every level of the basis is decisive
+    targets = [2, 3, 8, 40, 199, 600, 4096]
+    basis = build_basis(2 * targets[-1] + 2, Units(hbar=1.3, omega=0.7))
+    coupling = build_coupling(basis, model, 1e-3)
+    sweep = _discrimination_times(targets, basis, coupling, 1e4, "instantaneous")
+    assert sweep == [discrimination_time(n, basis, coupling, 1e4, "instantaneous")
+                     for n in targets]
+    for n in (2, 600):
+        assert sweep[targets.index(n)] == unpruned_instantaneous_time(n, basis, coupling, 1e4)
+
+
+@pytest.mark.parametrize("units,zero", [
+    (Units(hbar=1e-158, omega=1e156), None),  # (w/hbar)**2 and Delta**2 both overflow
+    (Units(hbar=1e160, omega=1e-161), 9),  # w_9 = 0 and Delta_9**2 underflows to 0
+])
+def test_nan_envelope_keeps_its_competitor_in_the_scan(units, zero):
+    # a nan envelope decides nothing by itself, but its probabilities leave the float range
+    basis = build_basis(17, units)
+    row = np.full(17, 1e-3, dtype=complex)
+    row[0] = 0.0
+    if zero:
+        row[zero - 1] = 0.0
+    coupling = CouplingOperator("general", 1e-3, row)
+    with pytest.raises(ConfigurationError, match="probabilities of target 8 past the float"):
+        discrimination_time(8, basis, coupling, 10.0, "instantaneous")
 
 
 def test_instantaneous_sweep_to_a_million_levels():
