@@ -10,7 +10,8 @@ closed-form first-order results are genuinely tested instead of assumed. The
 kernel is specialised to the star couplings every model uses: vacuum <->
 excited elements only, the one shape CouplingOperator stores. Norm drift is a
 measured error signal: the state is never renormalized, and drift past
-tolerance raises instead of being hidden.
+tolerance raises instead of being hidden. Whole drive periods without a sample
+are jumped with one low-rank Floquet period map.
 
 Measurement draws multinomial photon-count shots from the Born weights.
 First-order driving leaves most of the population in the vacuum, so readout
@@ -18,6 +19,7 @@ post-selects on non-vacuum shots; an all-vacuum record is reported as
 inconclusive rather than raised.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -30,7 +32,6 @@ from .errors import ConfigurationError, PropagationError
 
 STABILITY_NUMBER = 0.05  # max admissible dt * (max|E| + lambda) / hbar
 NORM_TOLERANCE = 1e-9
-_STEP_OVERHEAD = 2700  # a kernel call's ~4 us overhead, in ~1.5 ns element operations
 _CHUNK = 8  # Lawson steps fused into one kernel call (a power of two)
 _TABLE_BYTES = 1 << 20  # chunk matrices (16 KB each at _CHUNK = 8) built and cached at once
 _MAX_STEPS = 2**53  # beyond this, step times k*h are no longer distinct floats
@@ -110,11 +111,12 @@ def step_grid(t_final: float, dt: float, frequency: float) -> tuple[float, int]:
 
 
 def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
-    """(stages, chunks, run) for Lawson RK4 steps of length h.
+    """(stages, chunks, run, fused) for Lawson RK4 steps of length h.
 
     stages(starts) stacks the 4x4 stage matrices A_k of the steps from each
     time in starts; chunks(a) fuses each _CHUNK consecutive ones into a chunk
-    matrix; run(x, table) takes the steps (4x4) or chunks of a table in order.
+    matrix; run(x, table) takes the steps (4x4) or chunks of a table in order;
+    fused(J) is (F^J, H_J, S_J), F^J being the factor run applies per row.
 
     With N(t, y) = -i cos(Omega t) W y / hbar, P = exp(-i E h / 2hbar), F = P^2:
       k1 = N(t, x)              k2 = N(t + h/2, P (x + h/2 k1))
@@ -133,8 +135,8 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
     with Phi_m = H_m S_m, so T_a followed by T_b is [[T_a, 0], [T_b Phi_m T_a,
     T_b]]. (Row block i of T is A_i (E_i + sum_{l<i} G F^(i-1-l) S T_l), the
     forward substitution of the J steps.) A single step is the same kernel with
-    J = 1. x is n x m, a state (m = 1) or the identity (m = n) to build a map;
-    run overwrites it and holds one more n x m buffer. The operators of each J
+    J = 1. x is n x m, a state (m = 1) or a basis (m = r) to build the period
+    map; run overwrites it and holds one more n x m buffer. The operators of each J
     are built on first use, so a run that takes no chunk builds none.
     """
     w, col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
@@ -179,14 +181,38 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
 
     def run(x: np.ndarray, table: np.ndarray) -> np.ndarray:
         f_j, h_op, s_op = fused(table.shape[-1] // 4)
-        buf = np.empty_like(x)
+        buf = np.empty(x.shape, dtype=complex)  # C order, as np.dot(out=) requires
         for t in table:
-            np.matmul(s_op, t @ (h_op @ x), out=buf)
+            np.dot(s_op, t.dot(h_op.dot(x)), out=buf)  # dot: less call overhead than @
             x *= f_j
             x += buf
         return x
 
-    return stages, chunks, run
+    return stages, chunks, run, fused
+
+
+def _map_basis(basis: CavityBasis, coupling: CouplingOperator, period: float) -> np.ndarray:
+    """Orthonormal n x r basis V of all that one drive period reads of a state.
+
+    A period reads x only through e0 and conj(w) exp(iE tau/hbar), tau in
+    [0, period] (_lawson_steps). Chebyshev interpolation of exp(i a s), s in
+    [-1, 1], a = E_max period/(2 hbar), on m nodes errs by at most twice its
+    coefficient tail, 4 sum_{k>=m} |J_k(a)| <= 4 sum_{k>=m} (a/2)^k/k!
+    (Bernstein; Trefethen, Approximation Theory and Approximation Practice,
+    Thm 4.2); m is the least count that bounds this by the float epsilon.
+    V is the QR of [e0, conj(w) exp(iE tau_c/hbar)] at those nodes tau_c;
+    it is unitary when m + 1 >= n.
+    """
+    e, hbar, n = np.asarray(basis.energy_vector, dtype=float), basis.units.hbar, basis.n_max
+    a = float(e[-1]) * period / (2.0 * hbar)
+    m = min(n - 1, math.floor(a / 2) + 1)  # from here on the tail ratio a/(2m + 2) is below 1
+    log_term, log_tol = m * math.log(a / 2) - math.lgamma(m + 1), math.log(np.finfo(float).eps / 4)
+    while m + 1 < n and log_term > log_tol + math.log1p(-a / (2 * m + 2)):
+        m += 1
+        log_term += math.log(a / (2 * m))
+    tau = 0.5 * period * (1 + np.cos(np.pi * (np.arange(m) + 0.5) / m))
+    columns = np.conj(coupling.vacuum_row)[:, None] * np.exp((1j / hbar) * np.outer(e, tau))
+    return np.linalg.qr(np.column_stack([np.eye(n, 1), columns]))[0]
 
 
 def propagate(
@@ -201,21 +227,19 @@ def propagate(
 ) -> Trajectory:
     """Fixed-step Lawson RK4 run from t=0 to t_final; deterministic.
 
-    Steps are h = T/K, K per drive period T (step_grid), so each period applies
-    one map U (Floquet; Shirley 1965, Phys. Rev. 138:B979). Within a period the
-    steps go _CHUNK at a time as one fused update (_lawson_steps), on chunks that
-    start at multiples of _CHUNK from the period start; steps left over at the
-    period end or the end of the run go singly. A sample inside a chunk is read
-    off single steps taken on a copy, so the final state does not depend on
-    sample_stride unless U is built. With C = K//_CHUNK + K%_CHUNK kernel calls a
-    period, n levels, P sample-free periods and c = _STEP_OVERHEAD, U (16*n^2
-    bytes) is built once when C*c + K*10n^2 + 1.4P*n^2 < P*(C*c + K*10n), and each
-    such period is psi <- U psi; a period is sample-free only if K divides
-    sample_stride or the run holds no sample. One step shorter than h ends the
-    run at t_final. Samples: t = 0, multiples of sample_stride*h more than h/2
-    before t_final, and t_final. A dt past the step gate is a
-    ConfigurationError naming the maximum admissible dt; sampled norm drift
-    past norm_tol is a PropagationError.
+    Steps are h = T/K, K per drive period T (step_grid). A period goes _CHUNK
+    steps at a time as one fused update (_lawson_steps), on chunks from its
+    start; a chunk holding a sample, and steps left at a period end or the end
+    of the run, go singly, so sample_stride changes the final state only by
+    rounding. Each period applies one map U (Floquet; Shirley 1965, Phys. Rev.
+    138:B979). If a whole period holds no sample (sample_stride >= K), U is
+    built once as D + A V^H from V (n x r, _map_basis), D (the diagonal the
+    kernel applies) and A = U V - D V (V stepped one period), and each
+    sample-free period is x <- D x + A (V^H x), in O(n r) work and memory.
+    One step shorter than h ends the run at t_final. Samples: t = 0,
+    multiples of sample_stride*h more than h/2 before t_final, and t_final.
+    A dt past the step gate is a ConfigurationError naming the maximum
+    admissible dt; sampled norm drift past norm_tol is a PropagationError.
     """
     h, per_period = step_grid(t_final, dt, drive.frequency)  # rejects a bad t_final or dt
     if psi0.dimension != basis.n_max or coupling.n_max != basis.n_max:
@@ -235,11 +259,11 @@ def propagate(
         )
 
     whole, grid = int(t_final // h), round(t_final / h)
+    jump = per_period and min(sample_stride, whole) >= per_period  # a sample-free whole period
     per_period = per_period or grid  # no whole period: one table over the run
     chunk = _CHUNK
     rows = chunk * max(1, _TABLE_BYTES // (16 * (4 * chunk) ** 2))  # in-period steps a block holds
-    stages, chunks, run = _lawson_steps(basis, coupling, drive.frequency, h)
-    u_map = None
+    stages, chunks, run, fused = _lawson_steps(basis, coupling, drive.frequency, h)
 
     @lru_cache(maxsize=1)
     def block(b):  # stage matrices of the b-th block of in-period steps
@@ -250,47 +274,42 @@ def propagate(
         a = block(b)
         return chunks(a[: len(a) - len(a) % chunk])
 
-    def advance(x, k, stop, chunked=True):
-        # steps k -> stop on the fixed grid (period map, chunks, single steps),
-        # ending early before a chunk that would pass stop; chunked=False: single steps
+    def advance(x, k, stop, period_map=None):  # steps k -> stop: map, whole chunks, single steps
         while k < stop:
             j = k % per_period
             b, i = divmod(j, rows)
-            if u_map is not None and j == 0 and stop - k >= per_period:
-                x, k = u_map @ x, k + per_period
-            elif chunked and j % chunk == 0 and min(per_period - j, whole - k) >= chunk:
+            if period_map is not None and j == 0 and stop - k >= per_period:
+                x, k = period_map(x), k + per_period
+            elif j % chunk == 0 and min(per_period - j, stop - k) >= chunk:
                 count = min(per_period - j, rows - i, stop - k) // chunk
-                if not count:
-                    break
                 x, k = run(x, chunk_block(b)[i // chunk : i // chunk + count]), k + count * chunk
             else:
-                count = min(per_period - j, rows - i, stop - k)
+                count = min(chunk - j % chunk, per_period - j, stop - k)
                 x, k = run(x, block(b)[i : i + count]), k + count
-        return x, k
+        return x
 
-    n = basis.n_max
-    calls = per_period // chunk + per_period % chunk
-    free = whole // per_period if sample_stride % per_period == 0 or sample_stride >= grid else 0
-    # U @ psi streams U from memory: an element costs ~1.4 kernel element operations
-    # (run_prepare at 8% target weight, 1 BLAS thread: stepping wins from n ~ 1450)
-    if (calls * _STEP_OVERHEAD + per_period * 10 * n * n + 1.4 * free * n * n
-            < free * (calls * _STEP_OVERHEAD + per_period * 10 * n)):
-        u_map = advance(np.eye(n, dtype=complex), 0, per_period)[0]
+    def build_map():  # U = D + A V^H, D the diagonal the kernel applies in a period
+        v = _map_basis(basis, coupling, per_period * h)
+        d = np.ones((basis.n_max, 1), dtype=complex)
+        for j in [chunk] * (per_period // chunk) + [1] * (per_period % chunk):
+            d *= fused(j)[0]
+        vh = v.conj().T
+        a = advance(v, 0, per_period)  # U V: V stepped in place through one period
+        dv = vh.T.conj()  # V again, from V^H
+        dv *= d
+        a -= dv  # A = (U - D) V
+        return lambda x: d * x + a.dot(vh.dot(x))
+
+    period_map = build_map() if jump else None
     x = psi0.amplitudes.astype(complex)[:, None]
     samples = range(sample_stride, grid, sample_stride)
-    states = np.empty((len(samples) + 2, n), dtype=complex)
+    states = np.empty((len(samples) + 2, basis.n_max), dtype=complex)
     states[0] = x[:, 0]
-    k, copy_from = 0, None
-    for row, s in enumerate(samples, 1):
-        x, k = advance(x, k, s)
-        if k < s:  # s lies inside the next chunk: single steps on a copy
-            if copy_from != k:
-                y, at, copy_from = x.copy(), k, k
-            y, at = advance(y, at, s, chunked=False)
-        states[row] = (x if k == s else y)[:, 0]
-    x = advance(x, k, whole)[0]
+    for row, (start, stop) in enumerate(itertools.pairwise([0, *samples, whole]), 1):
+        x = advance(x, start, stop, period_map)
+        states[row] = x[:, 0]  # the last row is overwritten with the state at t_final
     if (rest := t_final - whole * h) > 0:  # one closing step shorter than h
-        last_stages, _, last_run = _lawson_steps(basis, coupling, drive.frequency, rest)
+        last_stages, _, last_run, _ = _lawson_steps(basis, coupling, drive.frequency, rest)
         x = last_run(x, last_stages(np.array([(whole % per_period) * h])))
     states[-1] = x[:, 0]
 

@@ -26,9 +26,8 @@ from .cavity import (
     verify_reachability,
 )
 from .dynamics import (
-    _CHUNK,
     WaveFunction,
-    _lawson_steps,
+    _map_basis,
     max_stable_dt,
     propagate,
     sample_measurement,
@@ -541,15 +540,16 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
         return "diagonal evolution matches analytic phases"
 
     @functools.cache
-    def driven_setup():
-        basis = build_basis(12)
+    def driven_setup(n=12, target=3):
+        basis = build_basis(n)
         coupling = build_coupling(basis, "star-uniform", 1e-3)
-        return basis, coupling, DriveConfig.resonant(basis, 3), max_stable_dt(basis, coupling) / 4
+        drive = DriveConfig.resonant(basis, target)
+        return basis, coupling, drive, max_stable_dt(basis, coupling) / 4
 
     @functools.cache
-    def driven_run(t_final=10.0, stride=1):
+    def driven_run(t_final=10.0, stride=1, n=12, target=3):
         # shared by the unitarity, period-map, fused-chunk and first-order checks
-        basis, coupling, drive, dt = driven_setup()
+        basis, coupling, drive, dt = driven_setup(n, target)
         return propagate(
             vacuum_state(basis), basis, coupling, drive, t_final, dt, sample_stride=stride
         )
@@ -560,22 +560,21 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
         return f"drift {run.norm_drift:.2e}"
 
     def check_period_map():
-        # t = 30 spans five drive periods: stride 1 steps through each, 10**9 jumps them
-        stepped, mapped = (driven_run(30.0, s).final.amplitudes for s in (1, 10**9))
+        # t = 12 spans five drive periods at n = 64, where the map has rank r < n:
+        # stride 1 steps through each period, 10**9 maps them
+        basis, coupling, drive, _ = driven_setup(64, 16)
+        rank = _map_basis(basis, coupling, 2.0 * math.pi / drive.frequency).shape[1]
+        stepped, mapped = (driven_run(12.0, s, 64, 16).final.amplitudes for s in (1, 10**9))
         gap = float(np.abs(stepped - mapped).max())
-        assert gap <= 1e-12, f"final states differ by {gap:.2e}"
-        return f"final states agree to {gap:.1e}"
+        assert rank < basis.n_max and gap <= 1e-12, f"states differ by {gap:.2e} at rank {rank}"
+        return f"final states agree to {gap:.1e} at rank {rank} of {basis.n_max}"
 
     def check_fused_chunks():
-        # one drive period of whole chunks from the t = 10 final state, fused and step by step
-        basis, coupling, drive, dt = driven_setup()
-        h, per_period = step_grid(10.0, dt, drive.frequency)
-        stages, chunks, run = _lawson_steps(basis, coupling, drive.frequency, h)
-        table = stages(np.arange(per_period - per_period % _CHUNK) * h)
-        x = driven_run().final.amplitudes[:, None]
-        gap = float(np.abs(run(x.copy(), table) - run(x.copy(), chunks(table))).max())
+        # t = 4 is under one drive period (5.7): stride 1 steps singly, 10**9 in chunks
+        singly, fused = (driven_run(4.0, s).final.amplitudes for s in (1, 10**9))
+        gap = float(np.abs(singly - fused).max())
         assert gap <= 1e-12, f"final states differ by {gap:.2e}"
-        return f"{len(table)} steps agree to {gap:.1e}"
+        return f"final states agree to {gap:.1e}"
 
     def check_first_order():
         p = np.abs(driven_run().final.amplitudes) ** 2

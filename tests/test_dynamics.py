@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import primecavity.dynamics
+import primecavity.experiments
 from primecavity import (
     COUPLING_MODELS,
     ConfigurationError,
@@ -286,22 +287,66 @@ def _final(basis, coupling, drive, t_final, dt, stride):
 @settings(max_examples=12, deadline=None)
 @given(
     target=st.integers(2, 30),
+    width=st.floats(2.0, 4.0),
     model=st.sampled_from(COUPLING_MODELS),
     units=st.sampled_from([Units(), Units(hbar=1.3, omega=0.7)]),
     gate_share=st.floats(0.25, 1.0),
     periods=st.floats(2.2, 4.0),
 )
-def test_period_map_matches_stepping(target, model, units, gate_share, periods):
-    basis = build_basis(2 * target + 2, units)
+def test_period_map_matches_stepping(target, width, model, units, gate_share, periods):
+    # n_max from 2N to 4N: the map's basis is unitary (r >= n) or low-rank (r < n)
+    basis = build_basis(int(width * target), units)
     coupling = build_coupling(basis, model, 1e-3)
     drive = DriveConfig.resonant(basis, target)
     dt = gate_share * max_stable_dt(basis, coupling)
     t_final = periods * 2.0 * math.pi / drive.frequency
     stepped = _final(basis, coupling, drive, t_final, dt, 1)  # a sample in every period
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primecavity.dynamics, "_STEP_OVERHEAD", 10**12)  # the map always pays
-        mapped = _final(basis, coupling, drive, t_final, dt, 10**9)
+    mapped = _final(basis, coupling, drive, t_final, dt, 10**9)  # every whole period mapped
     assert np.abs(stepped - mapped).max() <= 1e-12
+
+
+def _prepare_run(target):
+    # run_prepare at 8% target weight, with the trajectory it integrates and
+    # the width of each period-map basis it builds
+    runs, widths = [], []
+    propagate_, map_basis = primecavity.experiments.propagate, primecavity.dynamics._map_basis
+
+    def catching(*args, **kwargs):
+        runs.append(propagate_(*args, **kwargs))
+        return runs[-1]
+
+    def map_basis_spy(*args):
+        v = map_basis(*args)
+        widths.append(v.shape[1])
+        return v
+
+    strength = math.sqrt(0.08) * math.log1p(1.0 / target) / math.sqrt(10.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primecavity.experiments, "propagate", catching)
+        mp.setattr(primecavity.dynamics, "_map_basis", map_basis_spy)
+        report = run_prepare(target, strength=strength)
+    return report, runs[0], widths
+
+
+@pytest.mark.parametrize("target", [100, 300])
+def test_low_rank_map_matches_the_full_map_over_run_prepare(monkeypatch, target):
+    # the rank-r map against the full map, its basis patched to the identity,
+    # over the whole integration (465 and 1725 periods). D cancels from the
+    # full map but not from the rank-r one: a D taken from exp(-iET/hbar) or
+    # np.power drifts past 1e-12 by target 300, the kernel's own factors stay
+    # below 1e-13
+    _, low_rank, widths = _prepare_run(target)
+    assert len(widths) == 1 and widths[0] < (2 * target + 2) / 8
+    monkeypatch.setattr(primecavity.dynamics, "_map_basis",
+                        lambda basis, *_: np.eye(basis.n_max, dtype=complex))
+    full = _prepare_run(target)[1]
+    assert np.abs(low_rank.states - full.states).max() <= 1e-12
+
+
+def test_run_prepare_at_400_maps_periods_at_low_rank():
+    report, run, widths = _prepare_run(400)
+    assert report.status == "pass" and run.norm_drift <= 1e-11
+    assert len(widths) == 1 and widths[0] < report.manifest["n_max"] / 8
 
 
 @pytest.mark.parametrize("periods", [0.4, 1.0, 3.0, 7.5])
@@ -352,43 +397,48 @@ def test_run_without_a_whole_period_steps_on_the_plain_grid(frequency, t_final):
     assert np.abs(run.final.amplitudes - psi_ref).max() <= 1e-12
 
 
-def test_no_map_above_the_size_rule():
-    # n = 3000 over three periods: K*(c + 10n^2) + 3*1.4n^2 exceeds the stepping
-    # work 3K*(c + 10n), so the 144 MB map is never built
+def test_period_map_holds_order_n_r_memory():
+    # n = 3000 over three periods (r = 79): V and its QR, V^H, the kernel's
+    # buffer and 32-row operators stay within 5*16*n*r bytes, under a quarter
+    # of a dense map's 16*n^2
     n = 3000
     basis, coupling, drive = _uniform_setup(n, 2, 1e-3)
     dt = max_stable_dt(basis, coupling)
-    t_final = 3 * 2.0 * math.pi / drive.frequency
+    period = 2.0 * math.pi / drive.frequency
+    r = primecavity.dynamics._map_basis(basis, coupling, period).shape[1]
     tracemalloc.start()
     try:
-        jumped = _final(basis, coupling, drive, t_final, dt, 10**9)
+        jumped = _final(basis, coupling, drive, 3 * period, dt, 10**9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * n  # a sixteenth of the map's 16*n^2 bytes
-    assert np.array_equal(jumped, _final(basis, coupling, drive, t_final, dt, 7))
+    assert r < n / 8 and peak <= 5 * 16 * n * r < 16 * n * n / 4
+    stepped = _final(basis, coupling, drive, 3 * period, dt, 7)
+    assert np.abs(jumped - stepped).max() <= 1e-12
 
 
 def test_prepare_sizes_to_44_levels_build_the_period_map(monkeypatch):
-    # targets 6..21 at 8% target weight (n = 14..44): the map stays cheaper than stepping
-    widths = []
+    # targets 6..21 at 8% target weight (n = 14..44): each run steps its map
+    # basis through one period and nothing wider; the basis is the full n
+    # columns up to n = 26 and 25 columns (r < n) from n = 28
+    steps = []
     lawson = primecavity.dynamics._lawson_steps
 
     def spy(*args):
-        stages, chunks, run = lawson(*args)
+        stages, chunks, run, fused = lawson(*args)
 
         def run_spy(x, table):
-            widths.append(x.shape[1])  # n columns: the map is being built
+            steps.append(x.shape[1])
             return run(x, table)
 
-        return stages, chunks, run_spy
+        return stages, chunks, run_spy, fused
 
     monkeypatch.setattr(primecavity.dynamics, "_lawson_steps", spy)
     for target in range(6, 22):
-        widths.clear()
-        strength = math.sqrt(0.08) * math.log1p(1.0 / target) / math.sqrt(10.0)
-        assert run_prepare(target, strength=strength).status == "pass"
-        assert max(widths) == 2 * target + 2, target
+        steps.clear()
+        report, _, widths = _prepare_run(target)
+        assert report.status == "pass"
+        assert widths == [max(steps)] == [2 * target + 2 if target <= 12 else 25], target
 
 
 @settings(max_examples=10, deadline=None)
@@ -417,31 +467,34 @@ def test_fused_chunks_match_single_steps(target, model, units, stride, periods):
 
 
 def test_final_state_does_not_depend_on_the_stride():
-    # 3.3 periods at n = 30: the map would cost more than it saves, so every
-    # stride runs the same chunks and reads its samples off copies
+    # 3.3 periods at n = 30: strides 1 and 7 split the chunks that hold a
+    # sample into single steps, 10**9 maps three periods at rank 25; the final
+    # states agree to rounding
     basis, coupling, drive = _uniform_setup(30, 14, 1e-3)
     dt = max_stable_dt(basis, coupling) / 2
     t_final = 3.3 * 2.0 * math.pi / drive.frequency
     first, *others = (_final(basis, coupling, drive, t_final, dt, s) for s in (1, 7, 10**9))
-    assert all(np.array_equal(first, other) for other in others)
+    assert all(np.abs(first - other).max() <= 1e-12 for other in others)
 
 
 def test_map_build_holds_the_map_and_one_buffer():
-    # n = 402 over three periods with the map forced and no samples: the
-    # identity is stepped in place, so the traced peak stays near two n x n arrays
+    # n = 402 over three periods, the map's basis patched to the identity (the
+    # full map): V is stepped in place, so the traced peak holds A, V^H and one
+    # buffer, three n x n arrays
     n = 402
     basis, coupling, drive = _uniform_setup(n, 200, 1e-3)
     dt = max_stable_dt(basis, coupling)
     t_final = 3 * 2.0 * math.pi / drive.frequency
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primecavity.dynamics, "_STEP_OVERHEAD", 10**12)  # the map always pays
+        mp.setattr(primecavity.dynamics, "_map_basis",
+                   lambda basis, *_: np.eye(basis.n_max, dtype=complex))
         tracemalloc.start()
         try:
             _final(basis, coupling, drive, t_final, dt, 10**9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert 16 * n * n < peak <= 2.5 * 16 * n * n
+    assert 3 * 16 * n * n < peak <= 4 * 16 * n * n
 
 
 def test_step_grid_rejects_more_than_2_to_the_53_steps():
