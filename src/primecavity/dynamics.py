@@ -33,7 +33,7 @@ from .errors import ConfigurationError, PropagationError
 STABILITY_NUMBER = 0.05  # max admissible dt * (max|E| + lambda) / hbar
 NORM_TOLERANCE = 1e-9
 _CHUNK = 8  # Lawson steps fused into one kernel call (a power of two)
-_TABLE_BYTES = 1 << 20  # chunk matrices (16 KB each at _CHUNK = 8) built and cached at once
+_TABLE_BYTES = 1 << 20  # chunk matrices (5 KB each at _CHUNK = 8) built and cached at once
 _MAX_STEPS = 2**53  # beyond this, step times k*h are no longer distinct floats
 
 
@@ -86,10 +86,11 @@ def max_stable_dt(basis: CavityBasis, coupling: CouplingOperator) -> float:
 
 
 def step_grid(t_final: float, dt: float, frequency: float) -> tuple[float, int]:
-    """(h, K): propagate's step h = T/K and steps per drive period K = ceil(T/h0).
+    """(h, K): propagate's step h = T/K and the even steps per drive period K.
 
-    T = 2*pi/frequency and h0 = t_final/ceil(t_final/dt) is the plain grid (dt
-    shrinks to divide t_final, never grows), so h <= h0 <= dt; (h0, 0) when T is
+    T = 2*pi/frequency, h0 = t_final/ceil(t_final/dt) is the plain grid (dt
+    shrinks to divide t_final, never grows) and K = 2*ceil(T/(2*h0)), so h <=
+    h0 <= dt and half periods mirror (propagate); (h0, 0) when T is
     not finite, shorter than h0 or longer than the run. Raises ValueError naming
     the argument when t_final is not finite and non-negative, dt is not finite
     and positive, or t_final/dt exceeds _MAX_STEPS.
@@ -107,7 +108,8 @@ def step_grid(t_final: float, dt: float, frequency: float) -> tuple[float, int]:
     period = 2.0 * math.pi / frequency
     if not h0 <= period <= t_final:  # no whole period in the run, or not one step
         return h0, 0
-    return period / math.ceil(period / h0), math.ceil(period / h0)
+    steps = 2 * math.ceil(period / (2.0 * h0))
+    return period / steps, steps
 
 
 def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
@@ -125,62 +127,71 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
     The star W y = y[0] col + (w.y) e0 (col = conj(w), w[0] = 0) makes each
     k_j = a_j col + b_j e0, linear in g = (w.x, w.(P x), w.(F x), x[0]) since
     P[0] = F[0] = 1 (zero vacuum energy). So x' = F x + S (A_k G x) with G the
-    4-row gather, S the 4-column spread, and the stage formulas evaluated on
-    unit inputs g as the 4x4 matrix A_k.
+    4-row gather, S = [F col, P col, col, e0], and A_k the stage formulas on
+    unit inputs g: polynomials in the drive samples cos(Omega t) at t, t + h/2
+    and t + h, so nine monomials times a constant 9 x 16 table.
 
-    J = _CHUNK steps are one exact update x <- F^J x + S_J (T (H_J x)), where
-    H_J stacks G F^i (i < J, 4J x n) and S_J = [F^(J-1) S, ..., F S, S]
-    (n x 4J). The 4J x 4J chunk matrix T is built by doubling from T = A_k for
-    one step: after an m-step chunk T_a, H_m x' = H_m F^m x + Phi_m T_a H_m x
-    with Phi_m = H_m S_m, so T_a followed by T_b is [[T_a, 0], [T_b Phi_m T_a,
-    T_b]]. (Row block i of T is A_i (E_i + sum_{l<i} G F^(i-1-l) S T_l), the
-    forward substitution of the J steps.) A single step is the same kernel with
-    J = 1. x is n x m, a state (m = 1) or a basis (m = r) to build the period
-    map; run overwrites it and holds one more n x m buffer. The operators of each J
-    are built on first use, so a run that takes no chunk builds none.
+    J = _CHUNK steps are one exact update x <- F^J x + S_J (T (H_J x)). The
+    gathers G F^i (i < J) hold 2J + 2 distinct rows, w P^k (k <= 2J) and e0,
+    stacked in H_J; the spreads F^i S hold col P^k (S_J, k falling) and e0,
+    last in both. T is built by doubling from T = A_k for one step: with lo
+    and hi the rows of H_2m with k <= 2m and with k >= 2m, each with e0, an
+    m-step chunk T_a followed by T_b is T[lo, lo] = T_a, T[hi, hi] += T_b,
+    T[hi, lo] += T_b Phi_m T_a, Phi_m = H_m S_m. A single step is the same
+    kernel with J = 1. x is n x m, a state (m = 1) or a basis (m = r) for the
+    period map; run overwrites it and holds one more n x m buffer. The operators
+    of each J are built on first use, so a run that takes no chunk builds none.
     """
     w, col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
     p = np.exp((-0.5j * h / basis.units.hbar) * np.asarray(basis.energy_vector, dtype=float))
     e0 = np.eye(1, basis.n_max, dtype=complex)[0]
-    gather = np.array([w, w * p, w * p * p, e0])
-    spread_t = np.array([p * p * col, p * col, col, e0]).T.copy()
-    f = p * p
     s_ww, s_wpw = complex(np.vdot(w, w)), complex(w @ (p * col))
-    rate, half, sixth, third = -1j / basis.units.hbar, 0.5 * h, h / 6.0, h / 3.0
+    q, h2, h3 = h / 6.0, h * h / 2.0, h**3 / 4.0
+    # A_k[row, column] = sum of table[monomial, row, column] * monomial: row is
+    # a1, a2 + a3, a4 or the e0 sum of b; column is the unit input g
+    table = np.zeros((9, 4, 4), dtype=complex)
+    for monomial, row, column, value in [
+        (0, 0, 3, 1), (0, 3, 0, 1), (1, 1, 3, 4), (1, 3, 1, 4),  # c1, c2
+        (2, 2, 3, 1), (2, 3, 2, 1), (3, 1, 0, h), (3, 3, 3, h * s_wpw),  # c3, c1 c2
+        (4, 1, 1, h), (4, 3, 3, h * s_ww), (5, 2, 1, h), (5, 3, 3, h * s_wpw),  # c2^2, c2 c3
+        (6, 1, 3, h2 * s_wpw), (6, 3, 0, h2 * s_ww),  # c1 c2^2
+        (7, 2, 3, h2 * s_ww), (7, 3, 1, h2 * s_wpw),  # c2^2 c3
+        (8, 2, 0, h3 * s_ww), (8, 3, 3, h3 * s_wpw**2),  # c1 c2^2 c3
+    ]:
+        table[monomial, row, column] = value
+    degree = np.array([1, 1, 1, 2, 2, 2, 3, 3, 4])
+    table = (q * (-1j / basis.units.hbar) ** degree[:, None, None] * table).reshape(9, 16)
 
     def stages(starts: np.ndarray) -> np.ndarray:
-        w_x, w_px, w_fx, x_0 = np.eye(4)  # row j is the unit input g = e_j
-        s_start, s_mid, s_end = (
-            rate * np.cos(frequency * t)[:, None] for t in (starts, starts + half, starts + h)
-        )
-        a1, b1 = s_start * x_0, s_start * w_x
-        a2, b2 = s_mid * (x_0 + half * b1), s_mid * (w_px + half * a1 * s_wpw)
-        a3, b3 = s_mid * (x_0 + half * b2), s_mid * (w_px + half * a2 * s_ww)
-        a4, b4 = s_end * (x_0 + h * b3), s_end * (w_fx + h * a3 * s_wpw)
-        return np.stack([sixth * a1, third * (a2 + a3), sixth * a4,
-                         sixth * (b1 + 2.0 * (b2 + b3) + b4)], axis=1)
+        c1, c2, c3 = (np.cos(frequency * t) for t in (starts, starts + 0.5 * h, starts + h))
+        c22 = c2 * c2
+        monomials = np.stack([c1, c2, c3, c1 * c2, c22, c2 * c3, c1 * c22, c22 * c3,
+                              c1 * c22 * c3], axis=1)
+        return (monomials @ table).reshape(-1, 4, 4)
 
     @lru_cache(maxsize=None)
     def fused(j):  # F^J (n x 1), H_J and S_J
-        powers = np.cumprod([np.ones_like(f), *[f] * j], axis=0)  # F^0 .. F^J
-        h_op = (gather * powers[:j, None, :]).reshape(4 * j, -1)
-        s_op = (powers[j - 1 :: -1, :, None] * spread_t[None]).transpose(1, 0, 2).reshape(-1, 4 * j)
-        return powers[j][:, None].copy(), h_op, s_op
+        powers = np.cumprod([np.ones_like(p), *[p] * (2 * j)], axis=0)  # P^0 .. P^2J
+        h_op = np.vstack([w * powers, e0])
+        s_op = np.column_stack([(powers[::-1] * col).T, e0])
+        return powers[-1][:, None].copy(), h_op, s_op
 
     def chunks(a: np.ndarray) -> np.ndarray:
         _, h_op, s_op = fused(_CHUNK)
         t, m = a, 1
         while m < _CHUNK:  # pair consecutive m-step chunks, every pair at once
             t_a, t_b = t[0::2], t[1::2]
-            t = np.zeros((len(t_a), 8 * m, 8 * m), dtype=complex)
-            t[:, : 4 * m, : 4 * m], t[:, 4 * m :, 4 * m :] = t_a, t_b
-            phi = h_op[: 4 * m] @ s_op[:, -4 * m :]  # H_m S_m
-            np.matmul(t_b, phi @ t_a, out=t[:, 4 * m :, : 4 * m])
+            lo, hi = np.array([*range(2 * m + 1), -1]), np.arange(2 * m, 4 * m + 2)  # -1: e0
+            phi = h_op[lo] @ s_op[:, -2 * m - 2 :]  # H_m S_m
+            t = np.zeros((len(t_a), 4 * m + 2, 4 * m + 2), dtype=complex)
+            t[:, lo[:, None], lo] = t_a
+            t[:, 2 * m :, 2 * m :] += t_b  # T[hi, hi]
+            t[:, hi[:, None], lo] += t_b @ (phi @ t_a)
             m *= 2
         return t
 
     def run(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-        f_j, h_op, s_op = fused(table.shape[-1] // 4)
+        f_j, h_op, s_op = fused(table.shape[-1] // 2 - 1)
         buf = np.empty(x.shape, dtype=complex)  # C order, as np.dot(out=) requires
         for t in table:
             np.dot(s_op, t.dot(h_op.dot(x)), out=buf)  # dot: less call overhead than @
@@ -227,15 +238,19 @@ def propagate(
 ) -> Trajectory:
     """Fixed-step Lawson RK4 run from t=0 to t_final; deterministic.
 
-    Steps are h = T/K, K per drive period T (step_grid). A period goes _CHUNK
-    steps at a time as one fused update (_lawson_steps), on chunks from its
-    start; a chunk holding a sample, and steps left at a period end or the end
-    of the run, go singly, so sample_stride changes the final state only by
-    rounding. Each period applies one map U (Floquet; Shirley 1965, Phys. Rev.
-    138:B979). If a whole period holds no sample (sample_stride >= K), U is
-    built once as D + A V^H from V (n x r, _map_basis), D (the diagonal the
-    kernel applies) and A = U V - D V (V stepped one period), and each
-    sample-free period is x <- D x + A (V^H x), in O(n r) work and memory.
+    Steps are h = T/K, K per drive period T, K even (step_grid). The star
+    couples only the vacuum, so Pi = diag(1, -1, ..., -1) gives Pi W Pi = -W
+    and commutes with H0, and cos(Omega (t + T/2)) = -cos(Omega t): the step
+    T/2 later is Pi M Pi, M the step from t. So tables cover the first K/2
+    steps of a period, and second-half steps flip the sign of x[1:] before and
+    after. A half period goes _CHUNK steps at a time as one fused update
+    (_lawson_steps), on chunks from its start; a chunk holding a sample, and
+    steps left at a half-period end or the end of the run, go singly, so
+    sample_stride changes the final state only by rounding. Each period applies
+    one map U (Floquet; Shirley 1965, Phys. Rev. 138:B979). If a whole period
+    holds no sample (sample_stride >= K), U = D + A V^H is built once from V
+    (n x r, _map_basis) stepped half a period, and each sample-free period is
+    x <- D x + A (V^H x), in O(n r) work and memory.
     One step shorter than h ends the run at t_final. Samples: t = 0,
     multiples of sample_stride*h more than h/2 before t_final, and t_final.
     A dt past the step gate is a ConfigurationError naming the maximum
@@ -260,14 +275,14 @@ def propagate(
 
     whole, grid = int(t_final // h), round(t_final / h)
     jump = per_period and min(sample_stride, whole) >= per_period  # a sample-free whole period
-    per_period = per_period or grid  # no whole period: one table over the run
+    half = per_period // 2 or grid  # tables span half a period, or the run if it has none
     chunk = _CHUNK
-    rows = chunk * max(1, _TABLE_BYTES // (16 * (4 * chunk) ** 2))  # in-period steps a block holds
+    rows = chunk * max(1, _TABLE_BYTES // (16 * (2 * chunk + 2) ** 2))  # steps a block holds
     stages, chunks, run, fused = _lawson_steps(basis, coupling, drive.frequency, h)
 
     @lru_cache(maxsize=1)
-    def block(b):  # stage matrices of the b-th block of in-period steps
-        return stages(np.arange(b * rows, min((b + 1) * rows, per_period)) * h)
+    def block(b):  # stage matrices of the b-th block of first-half steps
+        return stages(np.arange(b * rows, min((b + 1) * rows, half)) * h)
 
     @lru_cache(maxsize=1)
     def chunk_block(b):  # chunk matrices of the whole chunks in block b
@@ -276,29 +291,48 @@ def propagate(
 
     def advance(x, k, stop, period_map=None):  # steps k -> stop: map, whole chunks, single steps
         while k < stop:
-            j = k % per_period
-            b, i = divmod(j, rows)
-            if period_map is not None and j == 0 and stop - k >= per_period:
+            if period_map is not None and k % per_period == 0 and stop - k >= per_period:
                 x, k = period_map(x), k + per_period
-            elif j % chunk == 0 and min(per_period - j, stop - k) >= chunk:
-                count = min(per_period - j, rows - i, stop - k) // chunk
-                x, k = run(x, chunk_block(b)[i // chunk : i // chunk + count]), k + count * chunk
+                continue
+            mirrored, j = divmod(k % (2 * half), half)
+            b, i = divmod(j, rows)
+            if j % chunk == 0 and min(half - j, stop - k) >= chunk:
+                count = min(half - j, rows - i, stop - k) // chunk
+                table, taken = chunk_block(b)[i // chunk : i // chunk + count], count * chunk
             else:
-                count = min(chunk - j % chunk, per_period - j, stop - k)
-                x, k = run(x, block(b)[i : i + count]), k + count
+                count = min(chunk - j % chunk, half - j, stop - k)
+                table, taken = block(b)[i : i + count], count
+            if mirrored:  # a second-half run is Pi (the first-half run) Pi
+                x[1:] *= -1
+            x, k = run(x, table), k + taken
+            if mirrored:
+                x[1:] *= -1
         return x
 
-    def build_map():  # U = D + A V^H, D the diagonal the kernel applies in a period
+    def build_map():  # U = Pi U_h Pi U_h, U_h = D_h + A_h V^H the first half period
         v = _map_basis(basis, coupling, per_period * h)
-        d = np.ones((basis.n_max, 1), dtype=complex)
-        for j in [chunk] * (per_period // chunk) + [1] * (per_period % chunk):
+        d = np.ones((basis.n_max, 1), dtype=complex)  # D_h, the diagonal the kernel applies
+        for j in [chunk] * (half // chunk) + [1] * (half % chunk):
             d *= fused(j)[0]
         vh = v.conj().T
-        a = advance(v, 0, per_period)  # U V: V stepped in place through one period
-        dv = vh.T.conj()  # V again, from V^H
-        dv *= d
-        a -= dv  # A = (U - D) V
-        return lambda x: d * x + a.dot(vh.dot(x))
+        s = advance(v, 0, half)  # S = U_h V: V stepped in place through half a period
+        # A = U V - D V = D_h A_h + Pi A_h (V^H Pi S), A_h = S - D_h V, D = D_h^2 (Pi V spans V)
+        s[0] *= -1  # Pi' = -Pi flips only the vacuum row
+        m = vh.dot(s)  # V^H Pi' S
+        s[0] *= -1
+        width = max(1, _TABLE_BYTES // (16 * m.shape[0]))
+        buf = np.empty((min(width, basis.n_max), m.shape[0]), dtype=complex)
+        for top in range(0, basis.n_max, width):  # A over S in row blocks, no n x r temporary
+            a_h, d_h = s[top : top + width], d[top : top + width]
+            t = np.conjugate(vh[:, top : top + width].T, out=buf[: len(a_h)])
+            t *= d_h
+            a_h -= t  # A_h = S - D_h V
+            np.dot(a_h, m, out=t)  # Pi A_h (V^H Pi S) = Pi' A_h (V^H Pi' S)
+            t[0] *= -1 if top == 0 else 1
+            a_h *= d_h
+            a_h += t
+        d *= d
+        return lambda x: d * x + s.dot(vh.dot(x))
 
     period_map = build_map() if jump else None
     x = psi0.amplitudes.astype(complex)[:, None]
@@ -310,7 +344,7 @@ def propagate(
         states[row] = x[:, 0]  # the last row is overwritten with the state at t_final
     if (rest := t_final - whole * h) > 0:  # one closing step shorter than h
         last_stages, _, last_run, _ = _lawson_steps(basis, coupling, drive.frequency, rest)
-        x = last_run(x, last_stages(np.array([(whole % per_period) * h])))
+        x = last_run(x, last_stages(np.array([(whole % (2 * half)) * h])))
     states[-1] = x[:, 0]
 
     trajectory = Trajectory(times=np.array([0.0, *(s * h for s in samples), t_final]),

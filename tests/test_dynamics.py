@@ -399,7 +399,7 @@ def test_run_without_a_whole_period_steps_on_the_plain_grid(frequency, t_final):
 
 def test_period_map_holds_order_n_r_memory():
     # n = 3000 over three periods (r = 79): V and its QR, V^H, the kernel's
-    # buffer and 32-row operators stay within 5*16*n*r bytes, under a quarter
+    # buffer and 18-row operators stay within 5*16*n*r bytes, under a quarter
     # of a dense map's 16*n^2
     n = 3000
     basis, coupling, drive = _uniform_setup(n, 2, 1e-3)
@@ -419,26 +419,67 @@ def test_period_map_holds_order_n_r_memory():
 
 def test_prepare_sizes_to_44_levels_build_the_period_map(monkeypatch):
     # targets 6..21 at 8% target weight (n = 14..44): each run steps its map
-    # basis through one period and nothing wider; the basis is the full n
-    # columns up to n = 26 and 25 columns (r < n) from n = 28
-    steps = []
-    lawson = primecavity.dynamics._lawson_steps
+    # basis through half a period, K/2 steps (the second half mirrors the
+    # first), and nothing wider, on a stage table of K/2 rows; the basis is
+    # the full n columns up to n = 26 and 25 columns (r < n) from n = 28
+    steps, rows, grids = [], [], []
+    lawson, step_grid_ = primecavity.dynamics._lawson_steps, primecavity.dynamics.step_grid
 
     def spy(*args):
         stages, chunks, run, fused = lawson(*args)
 
-        def run_spy(x, table):
-            steps.append(x.shape[1])
+        def stages_spy(starts):
+            rows.append(len(starts))
+            return stages(starts)
+
+        def run_spy(x, table):  # a table of J-step matrices is 2J + 2 wide
+            steps.append((x.shape[1], len(table) * (table.shape[-1] // 2 - 1)))
             return run(x, table)
 
-        return stages, chunks, run_spy, fused
+        return stages_spy, chunks, run_spy, fused
+
+    def grid_spy(*args):
+        grids.append(step_grid_(*args))
+        return grids[-1]
 
     monkeypatch.setattr(primecavity.dynamics, "_lawson_steps", spy)
+    monkeypatch.setattr(primecavity.dynamics, "step_grid", grid_spy)
     for target in range(6, 22):
-        steps.clear()
+        for log in (steps, rows, grids):
+            log.clear()
         report, _, widths = _prepare_run(target)
         assert report.status == "pass"
-        assert widths == [max(steps)] == [2 * target + 2 if target <= 12 else 25], target
+        widest = max(w for w, _ in steps)
+        assert widths == [widest] == [2 * target + 2 if target <= 12 else 25], target
+        half = grids[0][1] // 2  # K/2
+        assert sum(k for w, k in steps if w == widest) == half == max(rows), target
+
+
+@pytest.mark.parametrize("model", COUPLING_MODELS)
+@pytest.mark.parametrize("units", [Units(), Units(hbar=1.3, omega=0.7)])
+def test_second_half_of_a_period_mirrors_the_first(model, units):
+    # Pi = diag(1, -1, ..., -1) flips the star W and keeps H0, and the drive
+    # changes sign half a period on: there the stage matrices are Sigma A Sigma,
+    # Sigma = diag(-1, -1, -1, 1), and the chunk matrices flip their 17 w-rows
+    # and columns against e0. At target 14, n = 30, ceil(T/h0) is the odd 325
+    # and K the even 326
+    basis = build_basis(30, units)
+    coupling = build_coupling(basis, model, 1e-3)
+    drive = DriveConfig.resonant(basis, 14)
+    dt = max_stable_dt(basis, coupling) / 2
+    period = 2.0 * math.pi / drive.frequency
+    for t_final in (3.3 * period, 40.0 * period, 3 * period):
+        h, per_period = step_grid(t_final, dt, drive.frequency)
+        h0 = t_final / math.ceil(t_final / dt - 1e-12)
+        assert per_period % 2 == 0 and h == period / per_period and h <= h0 <= dt
+    assert math.ceil(period / h0) == 325 and per_period == 326
+    stages, chunks, _, _ = primecavity.dynamics._lawson_steps(basis, coupling, drive.frequency, h)
+    starts = np.arange(per_period // 2 - per_period // 2 % 8) * h
+    first, second = stages(starts), stages(starts + period / 2)
+    for a, b, flips in [(first, second, 3), (chunks(first), chunks(second), 17)]:
+        sign = np.array([-1.0] * flips + [1.0])
+        mirrored = sign[:, None] * a * sign
+        assert np.linalg.norm(b - mirrored) <= 1e-15 * np.linalg.norm(mirrored)
 
 
 @settings(max_examples=10, deadline=None)

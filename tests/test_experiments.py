@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from primecavity import (
@@ -165,6 +166,23 @@ def test_fit_loglog_exact_power_law():
 def test_fit_loglog_constant():
     fit = fit_loglog(_synthetic_records([(8, 7.0), (16, 7.0), (32, 7.0)]))
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_loglog_matches_lstsq_on_random_sweeps():
+    # the closed form from centred sums against numpy's least squares, over
+    # seeded sweeps shaped like run_scaling's (one label per octave from 8 up
+    # to 2**6..2**20) of noisy power laws t = c N^a
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        labels = np.array([rng.integers(2**k, 2 ** (k + 1)) for k in range(3, rng.integers(6, 21))])
+        t = np.exp(rng.uniform(1.0, 5.0) + rng.normal(0.0, 0.1, len(labels)))
+        t *= labels ** rng.uniform(0.5, 2.0)
+        fit = fit_loglog(_synthetic_records(zip(labels.tolist(), t.tolist())))
+        x, y = np.log(labels), np.log(t)
+        (slope, intercept), *_ = np.linalg.lstsq(np.column_stack([x, np.ones_like(x)]), y,
+                                                 rcond=None)
+        assert abs(fit.slope - slope) <= 1e-12 * abs(slope)
+        assert abs(fit.intercept - intercept) <= 1e-12 * abs(intercept)
 
 
 def test_fit_loglog_errors():
