@@ -14,21 +14,18 @@ from . import __version__
 from .cavity import COUPLING_MODELS
 from .errors import ConfigurationError
 from .experiments import (
+    prepare_csv_lines,
     prepare_report_dict,
     run_invariant_checks,
     run_prepare,
     run_scaling,
     run_spectrum,
-    scaling_csv_text,
+    scaling_csv_lines,
     scaling_study_dict,
     spectrum_csv_lines,
     spectrum_dict,
     spectrum_manifest,
     write_gnuplot_script,
-    write_prepare_csv,
-    write_prepare_json,
-    write_scaling_csv,
-    write_spectrum_csv,
 )
 from .units import Units
 
@@ -112,26 +109,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+def _output(args, as_dict, csv_lines, *result) -> None:
+    """Write a result as --format json or csv to --out, or to stdout without it.
+
+    as_dict(*result) is the JSON object, csv_lines(*result) the CSV lines,
+    written as they come. A CSV file gets a plot script under --gnuplot-script.
+    """
+    if args.format == "json":
+        lines = [json.dumps(as_dict(*result), indent=2), "\n"]
     else:
-        out.write_text(text)
+        lines = csv_lines(*result)
+    if args.out is None:
+        sys.stdout.writelines(lines)
+        return
+    with open(args.out, "w", newline="") as fh:
+        fh.writelines(lines)
+    if args.format == "csv" and getattr(args, "gnuplot_script", False):
+        write_gnuplot_script(args.out, args.command)
 
 
 def _cmd_spectrum(args) -> int:
     units = _units(args)
     columns = run_spectrum(args.nmax, units)
-    manifest = spectrum_manifest(args.nmax, units)
-    if args.format == "json":
-        _emit(json.dumps(spectrum_dict(columns, manifest), indent=2) + "\n", args.out)
-        return 0
-    if args.out is None:
-        sys.stdout.writelines(spectrum_csv_lines(columns, manifest))
-        return 0
-    write_spectrum_csv(columns, manifest, args.out)
-    if args.gnuplot_script:
-        write_gnuplot_script(args.out, "spectrum")
+    _output(args, spectrum_dict, spectrum_csv_lines, columns, spectrum_manifest(args.nmax, units))
     return 0
 
 
@@ -150,12 +150,7 @@ def _cmd_prepare(args) -> int:
         mode=args.mode,
         units=_units(args),
     )
-    if args.format == "csv":
-        write_prepare_csv(report, args.out)
-    elif args.out is None:
-        sys.stdout.write(json.dumps(prepare_report_dict(report), indent=2) + "\n")
-    else:
-        write_prepare_json(report, args.out)
+    _output(args, prepare_report_dict, prepare_csv_lines, report)
     if report.status != "pass":
         print(f"readout status: {report.status}", file=sys.stderr)
     return _STATUS_EXIT[report.status]
@@ -171,15 +166,7 @@ def _cmd_scaling(args) -> int:
         units=_units(args),
         n_max=args.nmax,
     )
-    if args.format == "json":
-        _emit(json.dumps(scaling_study_dict(study), indent=2) + "\n", args.out)
-        return 0
-    if args.out is None:
-        sys.stdout.write(scaling_csv_text(study))
-        return 0
-    write_scaling_csv(study, args.out)
-    if args.gnuplot_script:
-        write_gnuplot_script(args.out, "scaling")
+    _output(args, scaling_study_dict, scaling_csv_lines, study)
     return 0
 
 

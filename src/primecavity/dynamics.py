@@ -234,7 +234,6 @@ def propagate(
     t_final: float,
     dt: float,
     sample_stride: int = 1,
-    norm_tol: float = NORM_TOLERANCE,
 ) -> Trajectory:
     """Fixed-step Lawson RK4 run from t=0 to t_final; deterministic.
 
@@ -254,7 +253,7 @@ def propagate(
     One step shorter than h ends the run at t_final. Samples: t = 0,
     multiples of sample_stride*h more than h/2 before t_final, and t_final.
     A dt past the step gate is a ConfigurationError naming the maximum
-    admissible dt; sampled norm drift past norm_tol is a PropagationError.
+    admissible dt; sampled norm drift past NORM_TOLERANCE is a PropagationError.
     """
     h, per_period = step_grid(t_final, dt, drive.frequency)  # rejects a bad t_final or dt
     if psi0.dimension != basis.n_max or coupling.n_max != basis.n_max:
@@ -350,9 +349,9 @@ def propagate(
     trajectory = Trajectory(times=np.array([0.0, *(s * h for s in samples), t_final]),
                             states=states)
     drift = trajectory.norm_drift
-    if drift > norm_tol:
+    if drift > NORM_TOLERANCE:
         raise PropagationError(
-            f"norm drift {drift:.3e} exceeds tolerance {norm_tol:g}; reduce dt below {h:.3e}"
+            f"norm drift {drift:.3e} exceeds tolerance {NORM_TOLERANCE:g}; reduce dt below {h:.3e}"
         )
     return trajectory
 

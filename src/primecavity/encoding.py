@@ -5,9 +5,11 @@ encodes N = q1^m1 * q2^m2 * ... carries m_i photons in mode q_i and has
 energy hbar*omega*log(N). Unique factorization makes the level ladder
 non-degenerate: one level per natural number, with the vacuum encoding 1.
 Natural logarithms throughout; omega is a free scale, so the log base only
-rescales it.
+rescales it. Nothing here keeps state between calls: every function is safe
+to call from several threads at once.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,12 +21,8 @@ from .units import Units
 # unbounded, but everything downstream treats labels as machine integers.
 MAX_COMPOSED = 2**63 - 1
 
-# Smallest prime factor of 0..len-1 (spf[0] = 0, spf[1] = 1, spf[p] = p for a
-# prime p); grown geometrically and shared by every lookup below. int32 holds
-# every entry up to _SPF_CAP.
-_spf = np.arange(2, dtype=np.int32)
+# A smallest-prime-factor array stores int32 entries, so a sieve stops here.
 _SPF_CAP = 2**31 - 1
-_DIVISOR_BLOCK = 4096
 
 # Miller-Rabin with the first 12 primes as bases is exact below
 # 318665857834031151167461 (about 3.2e23), far above MAX_COMPOSED. Smaller n
@@ -41,6 +39,7 @@ _MILLER_RABIN_BOUNDS = (
     (341550071728321, 7),
     (3825123056546413051, 9),
 )
+_LEAST_COPRIME_COMPOSITE = 41 * 41  # 41 is the next prime after the bases
 
 
 def _as_label(n) -> int:
@@ -49,22 +48,18 @@ def _as_label(n) -> int:
     return int(n)
 
 
-def _spf_table(limit: int) -> np.ndarray:
-    """The cached smallest-prime-factor table, grown to cover 0..limit at least."""
-    global _spf
-    if limit >= len(_spf):
-        if limit > _SPF_CAP:
-            raise MemoryError(f"the smallest-prime-factor table stops at {_SPF_CAP}")
-        size = min(max(limit, 2 * (len(_spf) - 1), 1024), _SPF_CAP) + 1
-        spf = np.zeros(size, dtype=np.int32)
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if not spf[p]:  # no smaller prime divides p
-                multiples = spf[p * p :: p]
-                multiples[multiples == 0] = p
-        unmarked = np.flatnonzero(spf == 0)
-        spf[unmarked] = unmarked  # the primes, plus 0 and 1
-        _spf = spf
-    return _spf
+def _sieve(limit: int) -> np.ndarray:
+    """Smallest prime factor of 0..limit: spf[0] = 0, spf[1] = 1, spf[p] = p for a prime p."""
+    if limit > _SPF_CAP:
+        raise MemoryError(f"the smallest-prime-factor sieve stops at {_SPF_CAP}")
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if not spf[p]:  # no smaller prime divides p
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    unmarked = np.flatnonzero(spf == 0)
+    spf[unmarked] = unmarked  # the primes, plus 0 and 1
+    return spf
 
 
 def _miller_rabin(n: int) -> bool:
@@ -87,18 +82,49 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n coprime to every base (Pollard-Brent rho).
+
+    Brent's cycle search on y -> y*y + c (mod n) from y = 2: each round skips r
+    steps, then takes the gcd of n with the product of x - y over r more, and
+    r doubles. A round that collects all of n at once is retraced a step at a
+    time; if that also gives n, c = 1, 2, ... moves on to the next polynomial.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            ys = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def is_prime(n: int) -> bool:
-    """Table lookup inside the smallest-prime-factor table, Miller-Rabin above it."""
+    """Deterministic primality, exact up to MAX_COMPOSED.
+
+    An n sharing a factor with the Miller-Rabin bases is prime only if it is one
+    of them; any other n is prime below 41^2, and Miller-Rabin decides above.
+    """
     n = _as_label(n)
     if n < 2:
         return False
-    if n < len(_spf):
-        return int(_spf[n]) == n
     if n > MAX_COMPOSED:
         raise OverflowError(f"{n} exceeds the supported width ({MAX_COMPOSED})")
     if math.gcd(n, _BASES_PRODUCT) != 1:
         return n in _MILLER_RABIN_BASES
-    return _miller_rabin(n)
+    return n < _LEAST_COPRIME_COMPOSITE or _miller_rabin(n)
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -106,19 +132,7 @@ def sieve_primes(limit: int) -> list[int]:
     limit = _as_label(limit)
     if limit < 2:
         raise ValueError(f"no primes exist below 2 (got limit={limit})")
-    return _primes_in(_spf_table(limit), 2, limit)
-
-
-def _primes_in(spf: np.ndarray, lo: int, hi: int) -> list[int]:
-    """Primes in lo..hi (lo >= 2), ascending, read off the table."""
-    candidates = np.arange(lo, hi + 1, dtype=spf.dtype)
-    return candidates[spf[lo : hi + 1] == candidates].tolist()
-
-
-def _trial_divisors(spf: np.ndarray, limit: int):
-    """Primes <= limit, read a block at a time: trial division mostly stops early."""
-    for lo in range(2, limit + 1, _DIVISOR_BLOCK):
-        yield from _primes_in(spf, lo, min(lo + _DIVISOR_BLOCK - 1, limit))
+    return np.flatnonzero(_sieve(limit) == np.arange(limit + 1))[2:].tolist()  # past 0, 1
 
 
 @dataclass(frozen=True)
@@ -171,38 +185,29 @@ def compose(occ: OccupationVector) -> int:
 def factorize(n: int) -> OccupationVector:
     """Prime factorization of n as an occupation vector.
 
-    Grows the smallest-prime-factor table to sqrt(n); follows its chain when n
-    lies inside the table and trial-divides by the primes up to sqrt(n) otherwise.
+    Divides out the Miller-Rabin bases, then splits each composite part with
+    Pollard-Brent rho until Miller-Rabin proves every part prime. No table:
+    memory stays a few integers whatever n is.
     """
     n = _as_label(n)
     if n < 1:
         raise ValueError(f"only positive integers encode cavity states (got {n})")
     if n > MAX_COMPOSED:
         raise OverflowError(f"{n} exceeds the supported width ({MAX_COMPOSED})")
-    root = math.isqrt(n)
-    spf = _spf_table(root)
-    entries = []
-    rest = n
-    if n < len(spf):
-        while rest > 1:
-            q, m = int(spf[rest]), 0
-            while rest % q == 0:
-                rest //= q
-                m += 1
-            entries.append((q, m))
-    else:
-        for q in _trial_divisors(spf, root):
-            if q * q > rest:
-                break
-            m = 0
-            while rest % q == 0:
-                rest //= q
-                m += 1
-            if m:
-                entries.append((q, m))
-        if rest > 1:
-            entries.append((rest, 1))
-    return OccupationVector(tuple(entries))
+    powers = {}
+    for q in _MILLER_RABIN_BASES:
+        while n % q == 0:
+            n //= q
+            powers[q] = powers.get(q, 0) + 1
+    parts = [n] if n > 1 else []
+    while parts:  # every part is coprime to the bases
+        part = parts.pop()
+        if part < _LEAST_COPRIME_COMPOSITE or _miller_rabin(part):
+            powers[part] = powers.get(part, 0) + 1
+        else:
+            d = _rho_divisor(part)
+            parts += [d, part // d]
+    return OccupationVector(tuple(sorted(powers.items())))
 
 
 def format_occupation(occ: OccupationVector) -> str:
@@ -215,13 +220,13 @@ def format_occupation(occ: OccupationVector) -> str:
 def occupation_strings(n_max: int) -> list[str]:
     """format_occupation(factorize(n)) for n = 1..n_max, at position n - 1.
 
-    One pass over the smallest-prime-factor table: with q = spf[n] and q^m the
+    One pass over a smallest-prime-factor sieve: with q = spf[n] and q^m the
     full power of q in n, s[n] = head(q^m) + "*" + s[n / q^m].
     """
     n_max = _as_label(n_max)
     if n_max < 1:
         raise ValueError(f"labels start at 1 (got n_max={n_max})")
-    spf = _spf_table(n_max)[: n_max + 1].tolist()
+    spf = _sieve(n_max).tolist()
     strings = ["", "1"]  # slot 0 is padding
     power = [0, 0]  # exponent m of spf[n] in n
     cofactor = [0, 1]  # n / spf[n]^m
@@ -236,7 +241,7 @@ def occupation_strings(n_max: int) -> list[str]:
         cofactor.append(c)
         head = f"{q}^{m}" if m > 1 else str(q)
         strings.append(head if c == 1 else f"{head}*{strings[c]}")
-    return strings[1 : n_max + 1]
+    return strings[1:]
 
 
 def level_energy(n: int, units: Units = Units()) -> float:

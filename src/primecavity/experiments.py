@@ -53,6 +53,7 @@ from .units import Units
 SCHEMA_VERSION = 1
 
 _FLOAT_FMT = ".17g"
+CURVE_POINTS = 9  # drive times at which a prepare report samples the target probability
 
 
 def _fmt(x: float) -> str:
@@ -105,11 +106,6 @@ def spectrum_csv_lines(columns: SpectrumColumns, manifest: dict):
     yield from map("%d,%s,%.17g,%.17g\n".__mod__, zip(*columns))
 
 
-def write_spectrum_csv(columns: SpectrumColumns, manifest: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.writelines(spectrum_csv_lines(columns, manifest))
-
-
 def spectrum_dict(columns: SpectrumColumns, manifest: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -153,7 +149,6 @@ def run_prepare(
     dt: float | None = None,
     mode: str = "envelope",
     units: Units = Units(),
-    curve_points: int = 9,
 ) -> PrepareReport:
     """Drive the empty cavity for the discrimination time, then count photons.
 
@@ -214,7 +209,7 @@ def run_prepare(
         vacuum_state(basis), basis, coupling, drive, t_disc, dt, sample_stride=stride
     )
 
-    idx = np.unique(np.round(np.linspace(0, len(trajectory.times) - 1, curve_points)).astype(int))
+    idx = np.unique(np.round(np.linspace(0, len(trajectory.times) - 1, CURVE_POINTS)).astype(int))
     curve_times = tuple(float(trajectory.times[i]) for i in idx)
     curve_exact = tuple(float(p) for p in np.abs(trajectory.states[idx, target - 1]) ** 2)
     curve_first = tuple(
@@ -270,20 +265,15 @@ def prepare_report_dict(report: PrepareReport) -> dict:
     return {"schema_version": SCHEMA_VERSION, "config": manifest, "results": out}
 
 
-def write_prepare_json(report: PrepareReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(prepare_report_dict(report), fh, indent=2)
-        fh.write("\n")
+def prepare_csv_lines(report: PrepareReport):
+    """Curve table, drive time against exact and first-order target probability.
 
-
-def write_prepare_csv(report: PrepareReport, path) -> None:
-    """Curve table: drive time against exact and first-order target probability."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# manifest: {json.dumps(report.manifest)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "p_exact", "p_first_order"])
-        for t, pe, pf in zip(report.curve_times, report.curve_exact, report.curve_first_order):
-            writer.writerow([_fmt(t), _fmt(pe), _fmt(pf)])
+    Rows end in CRLF, the line ending of the csv module's default dialect.
+    """
+    yield f"# manifest: {json.dumps(report.manifest)}\n"
+    yield "t,p_exact,p_first_order\r\n"
+    for row in zip(report.curve_times, report.curve_exact, report.curve_first_order):
+        yield ",".join(map(_fmt, row)) + "\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +394,17 @@ def run_scaling(
 _SCALING_COLUMNS = ["N", "bit_size", "t_disc", "energy", "product", "ratio"]
 
 
-def scaling_csv_text(study: ScalingStudy) -> str:
-    lines = [f"# manifest: {json.dumps(study.manifest)}", ",".join(_SCALING_COLUMNS)]
+def scaling_csv_lines(study: ScalingStudy) -> list[str]:
+    lines = [f"# manifest: {json.dumps(study.manifest)}\n", ",".join(_SCALING_COLUMNS) + "\n"]
     for r in study.records:
         floats = (r.bit_size, r.t_disc, r.energy, r.product, r.ratio)
-        lines.append(",".join([str(r.label), *map(_fmt, floats)]))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join([str(r.label), *map(_fmt, floats)]) + "\n")
+    return lines
 
 
 def write_scaling_csv(study: ScalingStudy, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(scaling_csv_text(study))
+        fh.writelines(scaling_csv_lines(study))
 
 
 def read_scaling_csv(path) -> tuple[tuple[ScalingRecord, ...], dict]:
@@ -500,7 +490,14 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
             occ = factorize(n)
             assert compose(occ) == n, f"compose(factorize({n})) != {n}"
             assert occ.entries == tuple(_naive_trial_division(n)), f"oracle mismatch at {n}"
-        return "1..5000 against naive trial division"
+        large = {  # split by Pollard-Brent rho: many small factors, a square, a balanced pair
+            2**63 - 1: ((7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1)),
+            99999989**2: ((99999989, 2),),
+            2147483647 * 2147483659: ((2147483647, 1), (2147483659, 1)),  # past 2**62
+        }
+        for n, entries in large.items():
+            assert factorize(n).entries == entries, f"factorize({n}) gave {factorize(n)}"
+        return "1..5000 against naive trial division, 2^63-1, 99999989^2 and a 2^62 semiprime"
 
     def check_spectrum():
         basis = build_basis(n_max)

@@ -16,6 +16,7 @@ from primecavity import (
     build_coupling,
     factorize,
     level_energy,
+    run_prepare,
     run_scaling,
     verify_reachability,
     write_matrix_csv,
@@ -67,11 +68,14 @@ def test_basis_factors_labels_only_on_demand(monkeypatch):
     assert calls == [12]
 
 
-def test_scaling_sweep_leaves_the_factor_table_alone(monkeypatch):
-    empty = np.arange(2, dtype=np.int32)
-    monkeypatch.setattr(primecavity.encoding, "_spf", empty)
+def test_scaling_sweep_and_prepare_never_sieve(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primecavity.encoding, "_sieve", no_sieve)
     run_scaling([8, 16, 10**6])
-    assert primecavity.encoding._spf is empty
+    run_scaling([8, 16, 32], mode="instantaneous")
+    assert run_prepare(6, strength=0.0138, shots=500, seed=1).status == "pass"
 
 
 def test_basis_energies_match_level_energy():

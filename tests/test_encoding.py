@@ -1,6 +1,6 @@
 import math
 import time
-from contextlib import contextmanager, nullcontext
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,17 +29,6 @@ from helpers import naive_factor
 LN2 = 0.6931471805599453
 LN_3_OVER_2 = 0.4054651081081644
 GAP_AT_1000 = 9.995003330835331e-4
-
-
-@contextmanager
-def empty_spf_table():
-    """Run with an empty smallest-prime-factor table; the cached one comes back after."""
-    saved = encoding._spf
-    encoding._spf = np.arange(2, dtype=np.int32)
-    try:
-        yield
-    finally:
-        encoding._spf = saved
 
 
 def test_sieve_small_examples():
@@ -204,33 +193,24 @@ def test_spectrum_units_scaling():
 
 
 def test_spf_table_holds_smallest_prime_factors():
-    spf = encoding._spf_table(5000)
-    assert spf.dtype == np.int32
+    spf = encoding._sieve(5000)
+    assert spf.dtype == np.int32 and len(spf) == 5001  # sieved to its limit, no further
     assert spf[0] == 0 and spf[1] == 1
     for n in range(2, 5001):
         assert spf[n] == naive_factor(n)[0][0]
 
 
-def test_spf_table_growth():
-    with empty_spf_table():
-        assert len(encoding._spf_table(5)) == 1025  # never smaller than 1024
-        sieve_primes(5000)
-        assert len(encoding._spf) == 5001  # sieve_primes fills to its limit
-        sieve_primes(6000)
-        assert len(encoding._spf) == 10001  # growth is geometric
-        factorize(10**7 + 19)
-        assert len(encoding._spf) == 10001  # factorize needs only sqrt(n)
-        factorize(10**10 + 19)
-        assert len(encoding._spf) == 100_001
-        assert is_prime(10**12 + 39) and len(encoding._spf) == 100_001  # is_prime never grows it
+def test_sieve_rejects_limits_past_int32_entries():
+    assert encoding._sieve(1).tolist() == [0, 1]
+    with pytest.raises(MemoryError, match="stops at 2147483647"):
+        encoding._sieve(2**31)  # rejected before any allocation
 
 
 def test_is_prime_agrees_with_spf_table_to_a_million():
-    table = encoding._spf_table(10**6)
+    table = encoding._sieve(10**6)
     labels = np.arange(2, 10**6 + 1)
-    expected = (table[2 : 10**6 + 1] == labels).tolist()
-    with empty_spf_table():  # every n lies above the table: Miller-Rabin
-        assert [is_prime(n) for n in range(2, 10**6 + 1)] == expected
+    expected = (table[2:] == labels).tolist()
+    assert [is_prime(n) for n in range(2, 10**6 + 1)] == expected
 
 
 # smallest strong pseudoprime to the first k prime bases, k = 1, 2, 3, 4, 5, 6, 7, 9
@@ -247,16 +227,13 @@ STRONG_PSEUDOPRIMES = (
 )
 
 
-@pytest.mark.parametrize("table", ["cached", "empty"])
-def test_is_prime_rejects_pseudoprimes(table):
-    encoding._spf_table(5000)
-    with empty_spf_table() if table == "empty" else nullcontext():
-        assert not is_prime(561)  # Carmichael number
-        for n in STRONG_PSEUDOPRIMES:
-            assert not is_prime(n), n
-        assert is_prime(2**31 - 1) and is_prime(1000003)
-        assert not is_prime(1000003 * 1000033)
-        assert is_prime(MAX_COMPOSED - 24)  # the largest prime below 2^63
+def test_is_prime_rejects_pseudoprimes():
+    assert not is_prime(561)  # Carmichael number
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n), n
+    assert is_prime(2**31 - 1) and is_prime(1000003)
+    assert not is_prime(1000003 * 1000033)
+    assert is_prime(MAX_COMPOSED - 24)  # the largest prime below 2^63
 
 
 def test_occupation_strings_rejects_empty_range():
@@ -287,7 +264,6 @@ def test_occupation_strings_match_per_label_formatting():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3000))
 def test_occupation_strings_prefix_property(n_max):
-    encoding._spf_table(3000)  # a table longer than n_max must not leak into the result
     strings = occupation_strings(n_max)
     assert len(strings) == n_max
     assert strings == [format_occupation(factorize(n)) for n in range(1, n_max + 1)]
@@ -296,13 +272,14 @@ def test_occupation_strings_prefix_property(n_max):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10**6))
 def test_spf_chain_and_trial_division_agree_with_oracle(n):
-    encoding._spf_table(10**6)
-    chained = factorize(n)  # n lies inside the table
-    with empty_spf_table():
-        divided = factorize(n)  # the table grows only to sqrt(n), so n > 1024 lies above it
-    assert chained == divided
-    assert list(chained.entries) == naive_factor(n)
-    assert compose(chained) == n
+    spf, chained, rest = encoding._sieve(n), {}, n
+    while rest > 1:  # follow the sieve's smallest-prime-factor chain
+        q = int(spf[rest])
+        chained[q] = chained.get(q, 0) + 1
+        rest //= q
+    assert list(chained.items()) == naive_factor(n)  # naive trial division
+    occ = factorize(n)
+    assert occ.as_dict() == chained and compose(occ) == n
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,3 +289,52 @@ def test_factorize_compose_roundtrip_large(n):
     assert compose(occ) == n
     assert list(occ.entries) == naive_factor(n)
     assert is_prime(n) == (occ.entries == ((n, 1),))
+
+
+# 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657, two prime squares, balanced
+# semiprimes near 2^62 and 2^63, and the prime 2^62 + 135, where a sqrt(n) table ran out
+LARGE_FACTORIZATIONS = {
+    MAX_COMPOSED: {7: 2, 73: 1, 127: 1, 337: 1, 92737: 1, 649657: 1},
+    99999989**2: {99999989: 2},
+    2147483647**2: {2147483647: 2},
+    2147483587 * 2147483629: {2147483587: 1, 2147483629: 1},
+    2147483647 * 2147483659: {2147483647: 1, 2147483659: 1},
+    3037000453 * 3037000493: {3037000453: 1, 3037000493: 1},
+    2**62 + 135: {2**62 + 135: 1},
+}
+
+
+@pytest.mark.parametrize("n", LARGE_FACTORIZATIONS)
+def test_factorize_large_labels_exactly(n):
+    occ = factorize(n)
+    assert occ.as_dict() == LARGE_FACTORIZATIONS[n]
+    assert compose(occ) == n
+    assert all(is_prime(q) for q, _ in occ.entries)
+
+
+def _prime_at_or_below(x: int) -> int:
+    return next(q for q in range(x, 1, -1) if is_prime(q))
+
+
+ROOT_OF_MAX = math.isqrt(MAX_COMPOSED)  # about 2^31.5: a product of two such primes fits
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, ROOT_OF_MAX), st.integers(2, ROOT_OF_MAX))
+def test_factorize_products_of_found_primes(x, y):
+    p, q = _prime_at_or_below(x), _prime_at_or_below(y)
+    for n, expected in ((p * q, {p: 1} | {q: 1 + (p == q)}), (p * p, {p: 2}), (q * q, {q: 2})):
+        occ = factorize(n)
+        assert compose(occ) == n
+        assert occ.as_dict() == expected, n
+
+
+@pytest.mark.parametrize("n", [10**16, MAX_COMPOSED - 24, MAX_COMPOSED])
+def test_factorize_peak_memory_does_not_grow_with_n(n):  # a sqrt(n) table took 400 MB at 10^16
+    tracemalloc.start()
+    try:
+        factorize(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000, peak

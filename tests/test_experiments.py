@@ -16,6 +16,7 @@ from primecavity import (
     run_spectrum,
     upper_gap,
 )
+from primecavity.cli import main as run_cli
 from primecavity.experiments import (
     prepare_report_dict,
     read_scaling_csv,
@@ -24,10 +25,7 @@ from primecavity.experiments import (
     spectrum_dict,
     spectrum_manifest,
     write_gnuplot_script,
-    write_prepare_csv,
-    write_prepare_json,
     write_scaling_csv,
-    write_spectrum_csv,
 )
 
 OLS_SLOPE_8_TO_128 = 0.9806887879886452  # closed-form sweep, kappa=10
@@ -51,10 +49,9 @@ def test_spectrum_factors_string():
 
 
 def test_spectrum_csv_layout(tmp_path):
-    table = run_spectrum(6)
     manifest = spectrum_manifest(6, Units())
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(table, manifest, path)
+    assert run_cli(["spectrum", "--nmax", "6", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# manifest: ")
     assert json.loads(lines[0][len("# manifest: "):]) == manifest
@@ -282,15 +279,20 @@ def test_prepare_report_dict_and_files(tmp_path):
     assert payload["results"]["status"] == "pass"
     assert isinstance(payload["results"]["counts"], dict)
 
+    argv = ["prepare", "--target", "6", "--lambda", "0.0138", "--shots", "500", "--seed", "1"]
     jpath = tmp_path / "report.json"
-    write_prepare_json(report, jpath)
+    assert run_cli([*argv, "--out", str(jpath)]) == 0
+    assert json.loads(jpath.read_text()) == json.loads(json.dumps(payload))
     assert json.loads(jpath.read_text())["results"]["readout"] == "2*3"
 
     cpath = tmp_path / "curves.csv"
-    write_prepare_csv(report, cpath)
-    lines = cpath.read_text().splitlines()
-    assert lines[1] == "t,p_exact,p_first_order"
-    assert len(lines) == 2 + len(report.curve_times)
+    assert run_cli([*argv, "--format", "csv", "--out", str(cpath)]) == 0
+    lines = cpath.read_bytes().decode().split("\n")
+    assert lines[0] == f"# manifest: {json.dumps(report.manifest)}"
+    assert lines[1] == "t,p_exact,p_first_order\r"  # rows end in CRLF, csv's dialect
+    rows = [[float(x) for x in line.split(",")] for line in lines[2:-1]]
+    assert rows == [list(r) for r in zip(report.curve_times, report.curve_exact,
+                                         report.curve_first_order)]
 
 
 def test_gnuplot_script_emission(tmp_path):
