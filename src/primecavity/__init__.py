@@ -16,7 +16,6 @@ from .cavity import (
     build_basis,
     build_coupling,
     verify_reachability,
-    write_matrix_csv,
 )
 from .dynamics import (
     MeasurementResult,
@@ -37,7 +36,6 @@ from .encoding import (
     is_prime,
     level_energy,
     occupation_strings,
-    sieve_primes,
     upper_gap,
 )
 from .errors import ConfigurationError, PropagationError
@@ -55,11 +53,9 @@ from .experiments import (
 )
 from .perturbation import (
     FIRST_ORDER_LIMIT,
-    ExcitationProfile,
     detuning,
     discrimination_time,
     excitation_probability,
-    excitation_profile,
     offresonant_envelope,
 )
 from .units import Units
@@ -70,7 +66,6 @@ __all__ = [
     "ConfigurationError",
     "CouplingOperator",
     "DriveConfig",
-    "ExcitationProfile",
     "FIRST_ORDER_LIMIT",
     "FitResult",
     "MAX_COMPOSED",
@@ -90,7 +85,6 @@ __all__ = [
     "detuning",
     "discrimination_time",
     "excitation_probability",
-    "excitation_profile",
     "factorize",
     "fit_loglog",
     "format_occupation",
@@ -106,9 +100,7 @@ __all__ = [
     "run_scaling",
     "run_spectrum",
     "sample_measurement",
-    "sieve_primes",
     "upper_gap",
     "vacuum_state",
     "verify_reachability",
-    "write_matrix_csv",
 ]

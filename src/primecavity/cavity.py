@@ -11,7 +11,6 @@ Everything here is immutable after construction and safe to share across
 threads; construction itself is single-threaded.
 """
 
-import csv
 import math
 import operator
 import sys
@@ -193,15 +192,3 @@ class DriveConfig:
             raise ValueError(f"target {target} outside excited range 2..{basis.n_max}")
         return cls(frequency=basis.units.omega * math.log(target), target=target)
 
-
-def write_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Dense row-major debug dump; each complex entry becomes adjacent re,im fields."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(matrix):
-            flat = []
-            for z in row:
-                z = complex(z)
-                flat.append(format(z.real, ".17g"))
-                flat.append(format(z.imag, ".17g"))
-            writer.writerow(flat)

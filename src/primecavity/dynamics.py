@@ -112,39 +112,11 @@ def step_grid(t_final: float, dt: float, frequency: float) -> tuple[float, int]:
     return period / steps, steps
 
 
-def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
-    """(stages, chunks, run, fused) for Lawson RK4 steps of length h.
-
-    stages(starts) stacks the 4x4 stage matrices A_k of the steps from each
-    time in starts; chunks(a) fuses each _CHUNK consecutive ones into a chunk
-    matrix; run(x, table) takes the steps (4x4) or chunks of a table in order;
-    fused(J) is (F^J, H_J, S_J), F^J being the factor run applies per row.
-
-    With N(t, y) = -i cos(Omega t) W y / hbar, P = exp(-i E h / 2hbar), F = P^2:
-      k1 = N(t, x)              k2 = N(t + h/2, P (x + h/2 k1))
-      k3 = N(t + h/2, P x + h/2 k2)   k4 = N(t + h, F x + h P k3)
-      x' = F x + h/6 (F k1 + 2 P (k2 + k3) + k4)
-    The star W y = y[0] col + (w.y) e0 (col = conj(w), w[0] = 0) makes each
-    k_j = a_j col + b_j e0, linear in g = (w.x, w.(P x), w.(F x), x[0]) since
-    P[0] = F[0] = 1 (zero vacuum energy). So x' = F x + S (A_k G x) with G the
-    4-row gather, S = [F col, P col, col, e0], and A_k the stage formulas on
-    unit inputs g: polynomials in the drive samples cos(Omega t) at t, t + h/2
-    and t + h, so nine monomials times a constant 9 x 16 table.
-
-    J = _CHUNK steps are one exact update x <- F^J x + S_J (T (H_J x)). The
-    gathers G F^i (i < J) hold 2J + 2 distinct rows, w P^k (k <= 2J) and e0,
-    stacked in H_J; the spreads F^i S hold col P^k (S_J, k falling) and e0,
-    last in both. T is built by doubling from T = A_k for one step: with lo
-    and hi the rows of H_2m with k <= 2m and with k >= 2m, each with e0, an
-    m-step chunk T_a followed by T_b is T[lo, lo] = T_a, T[hi, hi] += T_b,
-    T[hi, lo] += T_b Phi_m T_a, Phi_m = H_m S_m. A single step is the same
-    kernel with J = 1. x is n x m, a state (m = 1) or a basis (m = r) for the
-    period map; run overwrites it and holds one more n x m buffer. The operators
-    of each J are built on first use, so a run that takes no chunk builds none.
-    """
+def _stage_table(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
+    """(P, stages) for Lawson steps of length h (_lawson_steps): P = exp(-i E h / 2hbar),
+    and stages(starts) stacks the 4x4 stage matrices A_k of the steps from each time in starts."""
     w, col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
     p = np.exp((-0.5j * h / basis.units.hbar) * np.asarray(basis.energy_vector, dtype=float))
-    e0 = np.eye(1, basis.n_max, dtype=complex)[0]
     s_ww, s_wpw = complex(np.vdot(w, w)), complex(w @ (p * col))
     q, h2, h3 = h / 6.0, h * h / 2.0, h**3 / 4.0
     # A_k[row, column] = sum of table[monomial, row, column] * monomial: row is
@@ -169,15 +141,49 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
                               c1 * c22 * c3], axis=1)
         return (monomials @ table).reshape(-1, 4, 4)
 
-    @lru_cache(maxsize=None)
-    def fused(j):  # F^J (n x 1), H_J and S_J
-        powers = np.cumprod([np.ones_like(p), *[p] * (2 * j)], axis=0)  # P^0 .. P^2J
-        h_op = np.vstack([w * powers, e0])
-        s_op = np.column_stack([(powers[::-1] * col).T, e0])
-        return powers[-1][:, None].copy(), h_op, s_op
+    return p, stages
+
+
+def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
+    """(stages, chunks, run, powers) for Lawson RK4 steps of length h.
+
+    stages(starts) stacks the 4x4 stage matrices A_k of the steps from each
+    time in starts; chunks(a) fuses each _CHUNK consecutive ones into a chunk
+    matrix; run(x, table) takes the steps (4x4) or chunks of a table in order;
+    powers stacks P^0 .. P^2J, and a j-step update scales x by F^j = powers[2j].
+
+    With N(t, y) = -i cos(Omega t) W y / hbar, P = exp(-i E h / 2hbar), F = P^2:
+      k1 = N(t, x)              k2 = N(t + h/2, P (x + h/2 k1))
+      k3 = N(t + h/2, P x + h/2 k2)   k4 = N(t + h, F x + h P k3)
+      x' = F x + h/6 (F k1 + 2 P (k2 + k3) + k4)
+    The star W y = y[0] col + (w.y) e0 (col = conj(w), w[0] = 0) makes each
+    k_j = a_j col + b_j e0, linear in g = (w.x, w.(P x), w.(F x), x[0]) since
+    P[0] = F[0] = 1 (zero vacuum energy). So x' = F x + S (A_k G x) with G the
+    4-row gather, S = [F col, P col, col, e0], and A_k the stage formulas on
+    unit inputs g: polynomials in the drive samples cos(Omega t) at t, t + h/2
+    and t + h, so nine monomials times a constant 9 x 16 table (_stage_table).
+
+    J = _CHUNK steps are one exact update x <- F^J x + S_J (T (H_J x)). The
+    gathers G F^i (i < J) hold 2J + 2 distinct rows, w P^k (k <= 2J) and e0,
+    stacked in H_J; the spreads F^i S hold col P^k (S_J, k falling) and e0,
+    last in both. T is built by doubling from T = A_k for one step: with lo
+    and hi the rows of H_2m with k <= 2m and with k >= 2m, each with e0, an
+    m-step chunk T_a followed by T_b is T[lo, lo] = T_a, T[hi, hi] += T_b,
+    T[hi, lo] += T_b Phi_m T_a, Phi_m = H_m S_m. A single step is the same kernel
+    on rows 0..2 and e0 of H_J and the last 4 columns of S_J. x is n x m, a state
+    (m = 1) or a basis (m = r); run overwrites it and holds one more n x m buffer.
+    """
+    w, col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
+    e0 = np.eye(1, basis.n_max, dtype=complex)[0]
+    p, stages = _stage_table(basis, coupling, frequency, h)
+
+    powers = np.cumprod([np.ones_like(p), *[p] * (2 * _CHUNK)], axis=0)  # P^0 .. P^2J
+    h_op = np.vstack([w * powers, e0])
+    s_op = np.column_stack([(powers[::-1] * col).T, e0])
+    fused = powers[-1][:, None], h_op, s_op  # F^J, H_J, S_J
+    single = powers[2][:, None], h_op[[0, 1, 2, -1]], s_op[:, -4:]  # F, G, S
 
     def chunks(a: np.ndarray) -> np.ndarray:
-        _, h_op, s_op = fused(_CHUNK)
         t, m = a, 1
         while m < _CHUNK:  # pair consecutive m-step chunks, every pair at once
             t_a, t_b = t[0::2], t[1::2]
@@ -191,15 +197,27 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
         return t
 
     def run(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-        f_j, h_op, s_op = fused(table.shape[-1] // 2 - 1)
+        f_j, h_j, s_j = single if table.shape[-1] == 4 else fused
         buf = np.empty(x.shape, dtype=complex)  # C order, as np.dot(out=) requires
         for t in table:
-            np.dot(s_op, t.dot(h_op.dot(x)), out=buf)  # dot: less call overhead than @
+            np.dot(s_j, t.dot(h_j.dot(x)), out=buf)  # dot: less call overhead than @
             x *= f_j
             x += buf
         return x
 
-    return stages, chunks, run, fused
+    return stages, chunks, run, powers
+
+
+def _closing_step(basis, coupling, frequency, start, h, x):
+    """The state x (1-d) one Lawson step of length h after time start: the single-step
+    kernel of _lawson_steps, x' = F x + S (A G x), written out so it builds no operator."""
+    p, stages = _stage_table(basis, coupling, frequency, h)
+    a = stages(np.array([start]))[0]
+    w, f = coupling.vacuum_row, p * p
+    g = a @ [w @ x, (w * p) @ x, (w * f) @ x, x[0]]
+    x = f * x + np.conj(w) * (f * g[0] + p * g[1] + g[2])
+    x[0] += g[3]
+    return x
 
 
 def _map_basis(basis: CavityBasis, coupling: CouplingOperator, period: float) -> np.ndarray:
@@ -211,8 +229,8 @@ def _map_basis(basis: CavityBasis, coupling: CouplingOperator, period: float) ->
     coefficient tail, 4 sum_{k>=m} |J_k(a)| <= 4 sum_{k>=m} (a/2)^k/k!
     (Bernstein; Trefethen, Approximation Theory and Approximation Practice,
     Thm 4.2); m is the least count that bounds this by the float epsilon.
-    V is the QR of [e0, conj(w) exp(iE tau_c/hbar)] at those nodes tau_c;
-    it is unitary when m + 1 >= n.
+    V is the QR of [e0, conj(w) exp(iE tau_c/hbar)] at those nodes tau_c, or
+    the n x n identity, exact and free, once m + 1 >= n.
     """
     e, hbar, n = np.asarray(basis.energy_vector, dtype=float), basis.units.hbar, basis.n_max
     a = float(e[-1]) * period / (2.0 * hbar)
@@ -221,6 +239,8 @@ def _map_basis(basis: CavityBasis, coupling: CouplingOperator, period: float) ->
     while m + 1 < n and log_term > log_tol + math.log1p(-a / (2 * m + 2)):
         m += 1
         log_term += math.log(a / (2 * m))
+    if m + 1 >= n:
+        return np.eye(n, dtype=complex)
     tau = 0.5 * period * (1 + np.cos(np.pi * (np.arange(m) + 0.5) / m))
     columns = np.conj(coupling.vacuum_row)[:, None] * np.exp((1j / hbar) * np.outer(e, tau))
     return np.linalg.qr(np.column_stack([np.eye(n, 1), columns]))[0]
@@ -277,7 +297,7 @@ def propagate(
     half = per_period // 2 or grid  # tables span half a period, or the run if it has none
     chunk = _CHUNK
     rows = chunk * max(1, _TABLE_BYTES // (16 * (2 * chunk + 2) ** 2))  # steps a block holds
-    stages, chunks, run, fused = _lawson_steps(basis, coupling, drive.frequency, h)
+    stages, chunks, run, powers = _lawson_steps(basis, coupling, drive.frequency, h)
 
     @lru_cache(maxsize=1)
     def block(b):  # stage matrices of the b-th block of first-half steps
@@ -312,7 +332,7 @@ def propagate(
         v = _map_basis(basis, coupling, per_period * h)
         d = np.ones((basis.n_max, 1), dtype=complex)  # D_h, the diagonal the kernel applies
         for j in [chunk] * (half // chunk) + [1] * (half % chunk):
-            d *= fused(j)[0]
+            d *= powers[2 * j][:, None]
         vh = v.conj().T
         s = advance(v, 0, half)  # S = U_h V: V stepped in place through half a period
         # A = U V - D V = D_h A_h + Pi A_h (V^H Pi S), A_h = S - D_h V, D = D_h^2 (Pi V spans V)
@@ -342,9 +362,8 @@ def propagate(
         x = advance(x, start, stop, period_map)
         states[row] = x[:, 0]  # the last row is overwritten with the state at t_final
     if (rest := t_final - whole * h) > 0:  # one closing step shorter than h
-        last_stages, _, last_run, _ = _lawson_steps(basis, coupling, drive.frequency, rest)
-        x = last_run(x, last_stages(np.array([(whole % (2 * half)) * h])))
-    states[-1] = x[:, 0]
+        start = (whole % (2 * half)) * h
+        states[-1] = _closing_step(basis, coupling, drive.frequency, start, rest, x[:, 0])
 
     trajectory = Trajectory(times=np.array([0.0, *(s * h for s in samples), t_final]),
                             states=states)

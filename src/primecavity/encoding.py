@@ -127,14 +127,6 @@ def is_prime(n: int) -> bool:
     return n < _LEAST_COPRIME_COMPOSITE or _miller_rabin(n)
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    limit = _as_label(limit)
-    if limit < 2:
-        raise ValueError(f"no primes exist below 2 (got limit={limit})")
-    return np.flatnonzero(_sieve(limit) == np.arange(limit + 1))[2:].tolist()  # past 0, 1
-
-
 @dataclass(frozen=True)
 class OccupationVector:
     """Photon count per prime mode, as ((prime, exponent), ...) with primes ascending.
@@ -158,15 +150,16 @@ class OccupationVector:
             prev = q
         compose(self)  # overflow guard
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
+    @classmethod
+    def _proven(cls, entries: tuple[tuple[int, int], ...]) -> "OccupationVector":
+        """A vector of ascending proven primes composing to a label: no second proof."""
+        occ = object.__new__(cls)
+        object.__setattr__(occ, "entries", entries)
+        return occ
 
     @property
     def is_vacuum(self) -> bool:
         return not self.entries
-
-    def __str__(self) -> str:
-        return format_occupation(self)
 
 
 def compose(occ: OccupationVector) -> int:
@@ -186,8 +179,9 @@ def factorize(n: int) -> OccupationVector:
     """Prime factorization of n as an occupation vector.
 
     Divides out the Miller-Rabin bases, then splits each composite part with
-    Pollard-Brent rho until Miller-Rabin proves every part prime. No table:
-    memory stays a few integers whatever n is.
+    Pollard-Brent rho until Miller-Rabin proves every part prime, so the
+    vector skips the constructor's checks. No table: memory stays a few
+    integers whatever n is.
     """
     n = _as_label(n)
     if n < 1:
@@ -207,7 +201,7 @@ def factorize(n: int) -> OccupationVector:
         else:
             d = _rho_divisor(part)
             parts += [d, part // d]
-    return OccupationVector(tuple(sorted(powers.items())))
+    return OccupationVector._proven(tuple(sorted(powers.items())))
 
 
 def format_occupation(occ: OccupationVector) -> str:

@@ -7,7 +7,6 @@ deterministic given that configuration (fixed seeds, fixed-step integration,
 no clocks). CSV floats use 17 significant digits so re-import is bit-exact.
 """
 
-import csv
 import functools
 import json
 import math
@@ -405,22 +404,6 @@ def scaling_csv_lines(study: ScalingStudy) -> list[str]:
 def write_scaling_csv(study: ScalingStudy, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.writelines(scaling_csv_lines(study))
-
-
-def read_scaling_csv(path) -> tuple[tuple[ScalingRecord, ...], dict]:
-    """Inverse of write_scaling_csv; floats round-trip bit-exactly."""
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("# manifest: "):
-            raise ValueError(f"{path} has no manifest line")
-        manifest = json.loads(first[len("# manifest: "):])
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _SCALING_COLUMNS:
-            raise ValueError(f"unexpected scaling columns {header}")
-        # columns in field order: label, bit_size, t_disc, energy, product, ratio
-        records = tuple(ScalingRecord(int(row[0]), *map(float, row[1:6])) for row in reader)
-    return records, manifest
 
 
 def scaling_study_dict(study: ScalingStudy) -> dict:

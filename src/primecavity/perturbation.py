@@ -19,7 +19,6 @@ being trustworthy and callers should shrink the coupling.
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,42 +89,6 @@ def offresonant_envelope(m: int, target: int, w: float, units: Units = Units()) 
     if m == target:
         raise ValueError("the resonant level grows without bound; no envelope exists")
     return (w / (units.hbar * delta)) ** 2
-
-
-@dataclass(frozen=True)
-class ExcitationProfile:
-    """Per-label first-order probabilities at one instant; position = label - 1.
-
-    The vacuum slot stays zero (it is the source level, not an excitation).
-    """
-
-    target: int
-    time: float
-    probabilities: np.ndarray
-
-    @property
-    def first_order_valid(self) -> bool:
-        """False once any level exceeds FIRST_ORDER_LIMIT and the result is suspect."""
-        return bool(self.probabilities.max() <= FIRST_ORDER_LIMIT)
-
-
-def excitation_profile(
-    basis: CavityBasis,
-    coupling: CouplingOperator,
-    target: int,
-    t: float,
-    counter_rotating: bool = False,
-) -> ExcitationProfile:
-    if coupling.n_max != basis.n_max:
-        raise ValueError("coupling and basis dimensions differ")
-    p = np.zeros(basis.n_max)
-    mags = np.abs(coupling.vacuum_row)
-    for i in range(1, basis.n_max):
-        if mags[i]:
-            p[i] = excitation_probability(
-                i + 1, target, t, float(mags[i]), basis.units, counter_rotating
-            )
-    return ExcitationProfile(target=target, time=t, probabilities=p)
 
 
 def discrimination_time(

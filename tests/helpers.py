@@ -1,15 +1,20 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the package's own code paths: factorization by
-naive trial division, and a separately written dense-matrix RK4 integrator
-for cross-checking the production propagator. The one exception is the
+naive trial division, a separately written dense-matrix RK4 integrator
+for cross-checking the production propagator, and a reader of the scaling
+CSV that parses the file with the csv module. The one exception is the
 unpruned discrimination references, which must repeat the package's arithmetic
 expression for expression to serve as a bit-for-bit reference.
 """
 
+import csv
+import json
 import math
 
 import numpy as np
+
+from primecavity import ScalingRecord
 
 
 def naive_factor(n: int) -> list[tuple[int, int]]:
@@ -34,6 +39,18 @@ def naive_factor(n: int) -> list[tuple[int, int]]:
     if rest > 1:
         out.append((rest, 1))
     return out
+
+
+def read_scaling_csv(path) -> tuple[tuple[ScalingRecord, ...], dict]:
+    """Records and manifest of a file written by write_scaling_csv."""
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        assert first.startswith("# manifest: "), f"{path} has no manifest line"
+        manifest = json.loads(first[len("# manifest: "):])
+        reader = csv.reader(fh)
+        assert next(reader) == ["N", "bit_size", "t_disc", "energy", "product", "ratio"]
+        records = tuple(ScalingRecord(int(row[0]), *map(float, row[1:6])) for row in reader)
+    return records, manifest
 
 
 def oracle_rk4(n_max, lam, drive_freq, t_final, dt, hbar=1.0, omega=1.0):

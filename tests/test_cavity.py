@@ -1,4 +1,3 @@
-import csv
 import math
 import sys
 
@@ -19,7 +18,6 @@ from primecavity import (
     run_prepare,
     run_scaling,
     verify_reachability,
-    write_matrix_csv,
 )
 
 
@@ -29,7 +27,7 @@ def test_build_basis_four_levels():
     assert list(basis.labels) == [1, 2, 3, 4]
     expected = [0.0, math.log(2), math.log(3), math.log(4)]
     assert np.allclose(basis.energy_vector, expected, rtol=1e-15, atol=0)
-    assert basis.occupation(4).as_dict() == {2: 2}
+    assert dict(basis.occupation(4).entries) == {2: 2}
     assert basis.occupation(1).is_vacuum
 
 
@@ -64,7 +62,7 @@ def test_basis_factors_labels_only_on_demand(monkeypatch):
     monkeypatch.setattr(primecavity.cavity, "factorize", counting_factorize)
     basis = build_basis(10**5)
     assert calls == []
-    assert basis.occupation(12).as_dict() == {2: 2, 3: 1}
+    assert dict(basis.occupation(12).entries) == {2: 2, 3: 1}
     assert calls == [12]
 
 
@@ -269,21 +267,6 @@ def test_drive_config_resonant():
     for frequency in (math.inf, math.nan):
         with pytest.raises(ValueError, match="drive frequency must be finite and positive"):
             DriveConfig(frequency=frequency, target=3)
-
-
-def test_write_matrix_csv_roundtrip(tmp_path):
-    basis = build_basis(3)
-    w = build_coupling(basis, "star-uniform", 0.25)
-    path = tmp_path / "w.csv"
-    write_matrix_csv(w.matrix, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 3
-    assert all(len(r) == 6 for r in rows)  # re,im per entry
-    rebuilt = np.array(
-        [[complex(float(r[2 * j]), float(r[2 * j + 1])) for j in range(3)] for r in rows]
-    )
-    assert np.array_equal(rebuilt, w.matrix)
 
 
 def test_coupling_equality_and_hash():

@@ -186,7 +186,7 @@ def test_sample_pure_state():
     amp[11] = 1.0  # pure state encoding 12
     result = sample_measurement(WaveFunction(amp), 1000, seed=5, target=12)
     assert result.counts == {12: 1000}
-    assert result.readout.as_dict() == {2: 2, 3: 1}
+    assert dict(result.readout.entries) == {2: 2, 3: 1}
     assert result.conditional_target_probability == 1.0
     assert not result.inconclusive
 
@@ -480,6 +480,28 @@ def test_second_half_of_a_period_mirrors_the_first(model, units):
         sign = np.array([-1.0] * flips + [1.0])
         mirrored = sign[:, None] * a * sign
         assert np.linalg.norm(b - mirrored) <= 1e-15 * np.linalg.norm(mirrored)
+
+
+@pytest.mark.parametrize("model", COUPLING_MODELS)
+@pytest.mark.parametrize("units", [Units(), Units(hbar=1.3, omega=0.7)])
+def test_closing_step_matches_a_one_step_lawson_run(model, units):
+    # the step shorter than h that ends a run, written out on its stage table,
+    # against the kernel's own single step of that length, from random starts
+    basis = build_basis(30, units)
+    coupling = build_coupling(basis, model, 1e-3)
+    drive = DriveConfig.resonant(basis, 14)
+    h = max_stable_dt(basis, coupling) / 2
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        start, length = rng.uniform(0.0, 500.0), rng.uniform(0.01, 0.99) * h
+        x = rng.normal(size=30) + 1j * rng.normal(size=30)
+        x /= np.linalg.norm(x)
+        stages, _, run, _ = primecavity.dynamics._lawson_steps(basis, coupling,
+                                                              drive.frequency, length)
+        stepped = run(x[:, None].copy(), stages(np.array([start])))[:, 0]
+        closing = primecavity.dynamics._closing_step(basis, coupling, drive.frequency,
+                                                     start, length, x)
+        assert np.abs(closing - stepped).max() <= 1e-15
 
 
 @settings(max_examples=10, deadline=None)

@@ -19,7 +19,6 @@ from primecavity import (
     is_prime,
     level_energy,
     occupation_strings,
-    sieve_primes,
     upper_gap,
 )
 
@@ -31,30 +30,6 @@ LN_3_OVER_2 = 0.4054651081081644
 GAP_AT_1000 = 9.995003330835331e-4
 
 
-def test_sieve_small_examples():
-    assert sieve_primes(13) == [2, 3, 5, 7, 11, 13]
-    assert sieve_primes(2) == [2]
-    assert sieve_primes(3) == [2, 3]
-
-
-def test_sieve_hundred_has_25_primes():
-    primes = sieve_primes(100)
-    assert len(primes) == 25
-    oracle = [n for n in range(2, 101) if all(n % d for d in range(2, n))]
-    assert primes == oracle
-
-
-def test_sieve_empty_domain():
-    for bad in (1, 0, -7):
-        with pytest.raises(ValueError):
-            sieve_primes(bad)
-
-
-def test_sieve_matches_oracle_up_to_500():
-    oracle = [n for n in range(2, 501) if all(n % d for d in range(2, int(n**0.5) + 1))]
-    assert sieve_primes(500) == oracle
-
-
 def test_is_prime_spot_checks():
     assert is_prime(2) and is_prime(97) and is_prime(7919)
     assert not is_prime(1) and not is_prime(0) and not is_prime(91)
@@ -62,7 +37,7 @@ def test_is_prime_spot_checks():
 
 def test_factorize_360():
     occ = factorize(360)
-    assert occ.as_dict() == {2: 3, 3: 2, 5: 1}
+    assert dict(occ.entries) == {2: 3, 3: 2, 5: 1}
     assert compose(occ) == 360
 
 
@@ -74,7 +49,7 @@ def test_factorize_vacuum():
 
 
 def test_factorize_prime():
-    assert factorize(97).as_dict() == {97: 1}
+    assert dict(factorize(97).entries) == {97: 1}
 
 
 def test_factorize_rejects_zero_and_negative():
@@ -90,7 +65,7 @@ def test_integer_labels_only():
     with pytest.raises(TypeError):
         level_energy(math.e)
     with pytest.raises(TypeError):
-        sieve_primes(10.0)
+        occupation_strings(10.0)
 
 
 def test_compose_examples():
@@ -115,6 +90,17 @@ def test_occupation_vector_validation():
         OccupationVector(((2, 0),))  # empty mode must be omitted
 
 
+def test_factorize_equals_the_validated_vector_it_skips():
+    # factorize builds its vector without the constructor's checks, which
+    # outside input still meets: 2047 = 23*89 is a strong pseudoprime to base 2
+    for entries in (((2047, 1),), ((5, 1), (3, 2)), ((3, 0),)):
+        with pytest.raises(ValueError):
+            OccupationVector(entries)
+    for n in range(1, 2001):
+        validated = OccupationVector(tuple(naive_factor(n)))
+        assert factorize(n) == validated and hash(factorize(n)) == hash(validated)
+
+
 def test_roundtrip_against_naive_oracle():
     for n in range(1, 2001):
         occ = factorize(n)
@@ -127,7 +113,7 @@ def test_format_occupation():
     assert format_occupation(factorize(1)) == "1"
     assert format_occupation(factorize(97)) == "97"
     assert format_occupation(factorize(360)) == "2^3*3^2*5"
-    assert str(factorize(15)) == "3*5"
+    assert format_occupation(factorize(15)) == "3*5"
 
 
 def test_level_energy_values():
@@ -250,7 +236,7 @@ def test_is_prime_rejects_labels_past_the_width():
 def test_is_prime_mersenne_61_is_fast():
     start = time.perf_counter()
     assert is_prime(2**61 - 1)
-    assert OccupationVector(((2**61 - 1, 1),)).as_dict() == {2**61 - 1: 1}
+    assert dict(OccupationVector(((2**61 - 1, 1),)).entries) == {2**61 - 1: 1}
     assert time.perf_counter() - start < 0.5
 
 
@@ -279,7 +265,7 @@ def test_spf_chain_and_trial_division_agree_with_oracle(n):
         rest //= q
     assert list(chained.items()) == naive_factor(n)  # naive trial division
     occ = factorize(n)
-    assert occ.as_dict() == chained and compose(occ) == n
+    assert dict(occ.entries) == chained and compose(occ) == n
 
 
 @settings(max_examples=30, deadline=None)
@@ -307,7 +293,7 @@ LARGE_FACTORIZATIONS = {
 @pytest.mark.parametrize("n", LARGE_FACTORIZATIONS)
 def test_factorize_large_labels_exactly(n):
     occ = factorize(n)
-    assert occ.as_dict() == LARGE_FACTORIZATIONS[n]
+    assert dict(occ.entries) == LARGE_FACTORIZATIONS[n]
     assert compose(occ) == n
     assert all(is_prime(q) for q, _ in occ.entries)
 
@@ -326,7 +312,7 @@ def test_factorize_products_of_found_primes(x, y):
     for n, expected in ((p * q, {p: 1} | {q: 1 + (p == q)}), (p * p, {p: 2}), (q * q, {q: 2})):
         occ = factorize(n)
         assert compose(occ) == n
-        assert occ.as_dict() == expected, n
+        assert dict(occ.entries) == expected, n
 
 
 @pytest.mark.parametrize("n", [10**16, MAX_COMPOSED - 24, MAX_COMPOSED])

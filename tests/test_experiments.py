@@ -19,7 +19,6 @@ from primecavity import (
 from primecavity.cli import main as run_cli
 from primecavity.experiments import (
     prepare_report_dict,
-    read_scaling_csv,
     scaling_study_dict,
     spectrum_csv_lines,
     spectrum_dict,
@@ -27,6 +26,8 @@ from primecavity.experiments import (
     write_gnuplot_script,
     write_scaling_csv,
 )
+
+from helpers import read_scaling_csv
 
 OLS_SLOPE_8_TO_128 = 0.9806887879886452  # closed-form sweep, kappa=10
 TWO_SQRT_10 = 6.324555320336759

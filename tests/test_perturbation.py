@@ -19,7 +19,6 @@ from primecavity import (
     detuning,
     discrimination_time,
     excitation_probability,
-    excitation_profile,
     offresonant_envelope,
     run_scaling,
 )
@@ -379,21 +378,6 @@ def test_discrimination_time_domain_errors():
         discrimination_time(4, basis, coupling, kappa=0.5)
     with pytest.raises(ConfigurationError):
         discrimination_time(4, basis, coupling, mode="adaptive")
-
-
-def test_excitation_profile():
-    basis = build_basis(16)
-    coupling = build_coupling(basis, "star-uniform", 1e-3)
-    profile = excitation_profile(basis, coupling, target=4, t=5.0)
-    assert profile.probabilities.shape == (16,)
-    assert profile.probabilities[0] == 0.0  # vacuum slot stays empty
-    assert profile.probabilities[3] == pytest.approx(
-        excitation_probability(4, 4, 5.0, 1e-3), rel=1e-15
-    )
-    assert profile.first_order_valid
-
-    hot = excitation_profile(basis, coupling, target=4, t=5e4)
-    assert not hot.first_order_valid
 
 
 @settings(max_examples=40, deadline=None)
