@@ -20,7 +20,6 @@ from .cavity import (
 from .dynamics import (
     MeasurementResult,
     Trajectory,
-    WaveFunction,
     max_stable_dt,
     occupation_probabilities,
     propagate,
@@ -78,7 +77,6 @@ __all__ = [
     "SpectrumColumns",
     "Trajectory",
     "Units",
-    "WaveFunction",
     "build_basis",
     "build_coupling",
     "compose",

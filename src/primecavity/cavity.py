@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import OccupationVector, factorize
 from .errors import ConfigurationError
 from .units import Units
 
@@ -27,7 +26,7 @@ COUPLING_MODELS = ("star-uniform", "star-decay")
 
 @dataclass(frozen=True)
 class CavityBasis:
-    """Labels 1..n_max with their level energies; occupations are factored on demand.
+    """Labels 1..n_max with their level energies.
 
     energy_vector is the Hamiltonian's diagonal, read-only, with position i
     holding E_{i+1} = hbar*omega*log(i+1): the vacuum sits exactly at zero and
@@ -53,16 +52,6 @@ class CavityBasis:
     @property
     def labels(self) -> range:
         return range(1, self.n_max + 1)
-
-    def occupation(self, label: int) -> OccupationVector:
-        if not 1 <= label <= self.n_max:
-            raise ValueError(f"label {label} outside 1..{self.n_max}")
-        return factorize(label)
-
-    def energy(self, label: int) -> float:
-        if not 1 <= label <= self.n_max:
-            raise ValueError(f"label {label} outside 1..{self.n_max}")
-        return float(self.energy_vector[label - 1])
 
 
 def build_basis(n_max: int, units: Units = Units()) -> CavityBasis:
@@ -174,21 +163,18 @@ def verify_reachability(coupling: CouplingOperator) -> bool:
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Periodic drive: frequency Omega and the level it is meant to prepare."""
+    """Periodic drive at frequency Omega."""
 
     frequency: float
-    target: int
 
     def __post_init__(self):
         if not (math.isfinite(self.frequency) and self.frequency > 0):
             raise ValueError(f"drive frequency must be finite and positive (got {self.frequency})")
-        if self.target < 2:
-            raise ValueError("the drive targets an excited level (label >= 2)")
 
     @classmethod
     def resonant(cls, basis: CavityBasis, target: int) -> "DriveConfig":
         """Tune the drive onto the vacuum -> target transition, Omega = omega*log(target)."""
         if not 2 <= target <= basis.n_max:
             raise ValueError(f"target {target} outside excited range 2..{basis.n_max}")
-        return cls(frequency=basis.units.omega * math.log(target), target=target)
+        return cls(frequency=basis.units.omega * math.log(target))
 

@@ -37,24 +37,12 @@ _TABLE_BYTES = 1 << 20  # chunk matrices (5 KB each at _CHUNK = 8) built and cac
 _MAX_STEPS = 2**53  # beyond this, step times k*h are no longer distinct floats
 
 
-@dataclass(frozen=True)
-class WaveFunction:
-    """Complex amplitudes over basis labels; position i holds label i+1."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def vacuum_state(basis: CavityBasis) -> WaveFunction:
+def vacuum_state(basis: CavityBasis) -> np.ndarray:
+    """The empty cavity: amplitude 1 at label 1. A state is an array whose position i
+    holds the amplitude of label i+1."""
     amp = np.zeros(basis.n_max, dtype=complex)
     amp[0] = 1.0
-    return WaveFunction(amp)
+    return amp
 
 
 @dataclass(frozen=True)
@@ -65,8 +53,8 @@ class Trajectory:
     states: np.ndarray
 
     @property
-    def final(self) -> WaveFunction:
-        return WaveFunction(self.states[-1])
+    def final(self) -> np.ndarray:
+        return self.states[-1]
 
     @cached_property
     def norm_drift(self) -> float:
@@ -247,7 +235,7 @@ def _map_basis(basis: CavityBasis, coupling: CouplingOperator, period: float) ->
 
 
 def propagate(
-    psi0: WaveFunction,
+    psi0: np.ndarray,
     basis: CavityBasis,
     coupling: CouplingOperator,
     drive: DriveConfig,
@@ -276,15 +264,15 @@ def propagate(
     admissible dt; sampled norm drift past NORM_TOLERANCE is a PropagationError.
     """
     h, per_period = step_grid(t_final, dt, drive.frequency)  # rejects a bad t_final or dt
-    if psi0.dimension != basis.n_max or coupling.n_max != basis.n_max:
-        raise ValueError("state, coupling, and basis dimensions must agree")
-    if not 2 <= drive.target <= basis.n_max:
-        raise ValueError(f"drive target {drive.target} outside basis 1..{basis.n_max}")
+    x = np.array(psi0, dtype=complex)  # a copy: the run steps it in place
+    if x.shape != (basis.n_max,) or coupling.n_max != basis.n_max:
+        raise ValueError(f"the state must have shape ({basis.n_max},), the basis and coupling "
+                         f"size (got state {x.shape}, coupling {coupling.n_max})")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
 
     if t_final == 0:
-        return Trajectory(times=np.array([0.0]), states=psi0.amplitudes[None, :].copy())
+        return Trajectory(times=np.array([0.0]), states=x[None, :])
 
     gate = max_stable_dt(basis, coupling)
     if dt > gate * (1 + 1e-12):
@@ -354,7 +342,7 @@ def propagate(
         return lambda x: d * x + s.dot(vh.dot(x))
 
     period_map = build_map() if jump else None
-    x = psi0.amplitudes.astype(complex)[:, None]
+    x = x[:, None]
     samples = range(sample_stride, grid, sample_stride)
     states = np.empty((len(samples) + 2, basis.n_max), dtype=complex)
     states[0] = x[:, 0]
@@ -375,11 +363,12 @@ def propagate(
     return trajectory
 
 
-def occupation_probabilities(psi: WaveFunction) -> np.ndarray:
+def occupation_probabilities(psi: np.ndarray) -> np.ndarray:
     """Born weights |c_N|^2 by position N-1; requires a normalized state."""
-    if abs(psi.norm() - 1.0) > NORM_TOLERANCE:
-        raise ValueError(f"state norm {psi.norm():.12f} is not 1 within {NORM_TOLERANCE:g}")
-    return np.abs(psi.amplitudes) ** 2
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > NORM_TOLERANCE:
+        raise ValueError(f"state norm {norm:.12f} is not 1 within {NORM_TOLERANCE:g}")
+    return np.abs(psi) ** 2
 
 
 @dataclass(frozen=True)
@@ -391,7 +380,6 @@ class MeasurementResult:
     every shot landed on the vacuum (inconclusive, by post-selection).
     """
 
-    shots: int
     counts: dict[int, int]
     readout: OccupationVector | None
     conditional_target_probability: float | None
@@ -402,7 +390,7 @@ class MeasurementResult:
 
 
 def sample_measurement(
-    psi: WaveFunction, shots: int, seed: int, target: int | None = None
+    psi: np.ndarray, shots: int, seed: int, target: int | None = None
 ) -> MeasurementResult:
     """Draw multinomial shots from the Born weights; bit-reproducible per seed.
 
@@ -419,15 +407,12 @@ def sample_measurement(
 
     excited_total = shots - int(draws[0])
     if excited_total == 0:
-        return MeasurementResult(
-            shots=shots, counts=counts, readout=None, conditional_target_probability=None
-        )
+        return MeasurementResult(counts=counts, readout=None, conditional_target_probability=None)
     modal_label = int(np.argmax(draws[1:])) + 2
     conditional = None
     if target is not None:
         conditional = counts.get(target, 0) / excited_total
     return MeasurementResult(
-        shots=shots,
         counts=counts,
         readout=factorize(modal_label),
         conditional_target_probability=conditional,

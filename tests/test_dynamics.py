@@ -15,7 +15,6 @@ from primecavity import (
     DriveConfig,
     MeasurementResult,
     Units,
-    WaveFunction,
     build_basis,
     build_coupling,
     excitation_probability,
@@ -49,12 +48,11 @@ def test_free_evolution_phases():
     amp = rng.normal(size=n) + 1j * rng.normal(size=n)
     amp /= np.linalg.norm(amp)
     t_final = 7.0
-    run = propagate(WaveFunction(amp.copy()), basis, zero,
-                    DriveConfig(frequency=1.0, target=2), t_final, 1e-3)
+    run = propagate(amp, basis, zero, DriveConfig(frequency=1.0), t_final, 1e-3)
     expected = amp * np.exp(-1j * basis.energy_vector * t_final)
     # H0 is applied exactly, so only rounding over the 7000 steps remains
-    assert np.abs(run.final.amplitudes - expected).max() <= 1e-12
-    assert np.abs(np.abs(run.final.amplitudes) - np.abs(amp)).max() < 1e-10
+    assert np.abs(run.final - expected).max() <= 1e-12
+    assert np.abs(np.abs(run.final) - np.abs(amp)).max() < 1e-10
 
 
 def test_zero_time_returns_initial_state():
@@ -62,7 +60,7 @@ def test_zero_time_returns_initial_state():
     psi0 = vacuum_state(basis)
     run = propagate(psi0, basis, coupling, drive, 0.0, 1e-2)
     assert run.times.tolist() == [0.0]
-    assert np.array_equal(run.final.amplitudes, psi0.amplitudes)
+    assert np.array_equal(run.final, psi0)
 
 
 def test_dt_gate_names_maximum():
@@ -98,7 +96,7 @@ def test_default_step_matches_oracle():
     run = propagate(vacuum_state(basis), basis, coupling, drive, report.t_disc,
                     report.manifest["dt"], sample_stride=10**9)
     psi_ref = oracle_rk4(n_max, strength, math.log(target), report.t_disc, gate / 16)
-    assert np.abs(run.final.amplitudes - psi_ref).max() <= 1e-10
+    assert np.abs(run.final - psi_ref).max() <= 1e-10
 
 
 def test_non_star_coupling_rejected():
@@ -164,12 +162,12 @@ def test_occupation_probabilities():
 
     amp = np.zeros(6, dtype=complex)
     amp[1] = amp[2] = 1 / math.sqrt(2)
-    p = occupation_probabilities(WaveFunction(amp))
+    p = occupation_probabilities(amp)
     assert p[1] == pytest.approx(0.5, rel=1e-12)
     assert p[2] == pytest.approx(0.5, rel=1e-12)
 
     with pytest.raises(ValueError):
-        occupation_probabilities(WaveFunction(amp * 2))
+        occupation_probabilities(amp * 2)
 
 
 def test_propagated_probabilities_sum_to_one():
@@ -184,7 +182,7 @@ def test_sample_pure_state():
     basis = build_basis(14)
     amp = np.zeros(14, dtype=complex)
     amp[11] = 1.0  # pure state encoding 12
-    result = sample_measurement(WaveFunction(amp), 1000, seed=5, target=12)
+    result = sample_measurement(amp, 1000, seed=5, target=12)
     assert result.counts == {12: 1000}
     assert dict(result.readout.entries) == {2: 2, 3: 1}
     assert result.conditional_target_probability == 1.0
@@ -206,7 +204,7 @@ def test_sample_counts_always_total_shots():
     amp[5] = math.sqrt(0.2)
     amp[6] = math.sqrt(0.1)
     for seed in range(5):
-        result = sample_measurement(WaveFunction(amp), 777, seed=seed, target=6)
+        result = sample_measurement(amp, 777, seed=seed, target=6)
         assert sum(result.counts.values()) == 777
 
 
@@ -215,7 +213,7 @@ def test_sample_modal_readout_and_conditional():
     amp[0] = math.sqrt(0.90)   # vacuum
     amp[5] = math.sqrt(0.08)   # label 6, modal excited
     amp[3] = math.sqrt(0.02)   # label 4
-    result = sample_measurement(WaveFunction(amp), 20_000, seed=3, target=6)
+    result = sample_measurement(amp, 20_000, seed=3, target=6)
     assert result.readout == factorize(6)
     excited = result.counts.get(6, 0) + result.counts.get(4, 0)
     assert result.conditional_target_probability == result.counts[6] / excited
@@ -226,10 +224,10 @@ def test_sampling_determinism():
     amp[0] = math.sqrt(0.5)
     amp[2] = math.sqrt(0.3)
     amp[6] = math.sqrt(0.2)
-    a = sample_measurement(WaveFunction(amp), 5000, seed=42, target=3)
-    b = sample_measurement(WaveFunction(amp), 5000, seed=42, target=3)
+    a = sample_measurement(amp, 5000, seed=42, target=3)
+    b = sample_measurement(amp, 5000, seed=42, target=3)
     assert a == b
-    c = sample_measurement(WaveFunction(amp), 5000, seed=43, target=3)
+    c = sample_measurement(amp, 5000, seed=43, target=3)
     assert c.counts != a.counts
 
 
@@ -240,8 +238,7 @@ def test_sample_validation():
 
 
 def test_readout_factorization_passthrough():
-    result = MeasurementResult(shots=10, counts={1: 1, 6: 9},
-                               readout=factorize(6),
+    result = MeasurementResult(counts={1: 1, 6: 9}, readout=factorize(6),
                                conditional_target_probability=1.0)
     assert result.readout == factorize(6)
 
@@ -255,6 +252,25 @@ def test_propagate_dimension_checks():
         propagate(vacuum_state(basis), basis, coupling, drive, -1.0, 1e-3)
     with pytest.raises(ValueError):
         propagate(vacuum_state(basis), basis, coupling, drive, 1.0, -1e-3)
+
+
+def test_states_are_plain_arrays():
+    basis, coupling, drive = _uniform_setup(8, 3, 1e-3)
+    dt = max_stable_dt(basis, coupling) / 2
+    psi0 = vacuum_state(basis)
+    assert type(psi0) is np.ndarray and psi0.shape == (8,)
+    run = propagate(psi0, basis, coupling, drive, 2.0, dt)
+    assert np.array_equal(psi0, vacuum_state(basis))  # the run steps a copy
+    assert type(run.final) is np.ndarray and run.final.shape == (8,)
+    p = occupation_probabilities(run.final)
+    assert p.shape == (8,) and abs(p.sum() - 1.0) <= 1e-9
+    result = sample_measurement(run.final, 100, seed=0, target=3)
+    assert sum(result.counts.values()) == 100
+    for shape in [(8, 1), (7,)]:
+        state = np.zeros(shape, dtype=complex)
+        state[0] = 1.0
+        with pytest.raises(ValueError, match=r"shape \(8,\)"):
+            propagate(state, basis, coupling, drive, 2.0, dt)
 
 
 @pytest.mark.parametrize("t_final, dt, named", [
@@ -281,7 +297,7 @@ def _tracer_sample_count(times, stride):
 def _final(basis, coupling, drive, t_final, dt, stride):
     run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt,
                     sample_stride=stride)
-    return run.final.amplitudes
+    return run.final
 
 
 @settings(max_examples=12, deadline=None)
@@ -379,7 +395,7 @@ def test_run_ending_within_half_a_step_of_a_period_boundary(offset):
     # samples at T and 2T; the one at 3T lies within h/2 of the end and is dropped
     assert run.times.tolist() == [0.0, per_period * h, 2 * per_period * h, t_final]
     stepped = _final(basis, coupling, drive, t_final, dt, 1)
-    assert np.abs(run.final.amplitudes - stepped).max() <= 1e-12
+    assert np.abs(run.final - stepped).max() <= 1e-12
 
 
 @pytest.mark.parametrize("frequency, t_final", [(math.log(6), 0.5), (1e-300, 2.0)])
@@ -389,12 +405,12 @@ def test_run_without_a_whole_period_steps_on_the_plain_grid(frequency, t_final):
     n_max, lam, dt = 14, 1e-3, 1e-3
     basis = build_basis(n_max)
     coupling = build_coupling(basis, "star-uniform", lam)
-    drive = DriveConfig(frequency=frequency, target=6)
+    drive = DriveConfig(frequency=frequency)
     assert step_grid(t_final, dt, frequency) == (t_final / round(t_final / dt), 0)
     run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt)
     assert len(run.times) == round(t_final / dt) + 1 and run.times[-1] == t_final
     psi_ref = oracle_rk4(n_max, lam, frequency, t_final, dt / 4)
-    assert np.abs(run.final.amplitudes - psi_ref).max() <= 1e-12
+    assert np.abs(run.final - psi_ref).max() <= 1e-12
 
 
 def test_period_map_holds_order_n_r_memory():

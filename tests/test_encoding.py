@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,11 +162,7 @@ def test_spectrum_table():
     assert basis.energy_vector[0] == 0.0  # vacuum exactly at zero
     assert len(basis.energy_vector) == 5000  # no padding slot
     assert np.all(np.diff(basis.energy_vector) > 0)
-    assert basis.energy(2) == pytest.approx(LN2, rel=1e-15)
-    with pytest.raises(ValueError):
-        basis.energy(5001)
-    with pytest.raises(ValueError):
-        basis.energy(0)
+    assert basis.energy_vector[1] == pytest.approx(LN2, rel=1e-15)
     with pytest.raises(ValueError):
         build_basis(0)
 
@@ -175,7 +175,7 @@ def test_spectrum_table_is_readonly():
 
 def test_spectrum_units_scaling():
     basis = build_basis(100, Units(hbar=2.0, omega=0.5))
-    assert basis.energy(10) == pytest.approx(math.log(10), rel=1e-15)
+    assert basis.energy_vector[9] == pytest.approx(math.log(10), rel=1e-15)
 
 
 def test_spf_table_holds_smallest_prime_factors():
@@ -324,3 +324,16 @@ def test_factorize_peak_memory_does_not_grow_with_n(n):  # a sqrt(n) table took 
     finally:
         tracemalloc.stop()
     assert peak < 32_000, peak
+
+
+def test_broken_rho_raises_instead_of_hanging():
+    # a gcd that never finds a factor: the step bound must end the search with
+    # an error naming the label, where an unbounded search would never return
+    script = ("import math\nmath.gcd = lambda a, b: 1\n"
+              "import primecavity\nprimecavity.factorize(10403)")
+    env = {**os.environ, "PYTHONPATH": str(Path(encoding.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ArithmeticError: ")
+    assert "10403" in proc.stderr.splitlines()[-1]

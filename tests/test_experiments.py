@@ -9,8 +9,10 @@ from primecavity import (
     ScalingRecord,
     Units,
     build_basis,
+    factorize,
     fit_loglog,
     format_occupation,
+    level_energy,
     run_prepare,
     run_scaling,
     run_spectrum,
@@ -65,9 +67,17 @@ def test_spectrum_rows_match_per_label_construction():
     basis = build_basis(3000, units)
     table = run_spectrum(3000, units)
     assert list(table.labels) == list(basis.labels)
-    assert table.factors == [format_occupation(basis.occupation(n)) for n in basis.labels]
-    assert table.energies == [basis.energy(n) for n in basis.labels]
+    assert table.factors == [format_occupation(factorize(n)) for n in basis.labels]
+    assert table.energies == basis.energy_vector.tolist()
+    for n, energy in zip(basis.labels, table.energies):
+        assert abs(energy - level_energy(n, units)) <= math.ulp(level_energy(n, units))
     assert table.gaps == [upper_gap(n, units) for n in basis.labels]
+
+
+def test_scaling_and_spectrum_print_the_same_energy():
+    # np.log and math.log round apart at some labels (9170 and 19143 among these)
+    study = run_scaling(list(range(2, 20001)))
+    assert [r.energy for r in study.records] == run_spectrum(20001).energies[1:20000]
 
 
 def test_spectrum_csv_floats_reimport_bit_exactly():
