@@ -384,10 +384,6 @@ class MeasurementResult:
     readout: OccupationVector | None
     conditional_target_probability: float | None
 
-    @property
-    def inconclusive(self) -> bool:
-        return self.readout is None
-
 
 def sample_measurement(
     psi: np.ndarray, shots: int, seed: int, target: int | None = None

@@ -176,7 +176,7 @@ def run_prepare(
 
     t_disc = discrimination_time(target, basis, coupling, kappa=kappa, mode=mode)
 
-    w_target = abs(coupling.vacuum_coupling(target))
+    w_target = abs(coupling.vacuum_row.item(target - 1))
     try:
         predicted = excitation_probability(target, target, t_disc, w_target, units)
     except OverflowError:  # a prediction past the float range fails the guard
@@ -213,7 +213,7 @@ def run_prepare(
 
     measurement = sample_measurement(trajectory.final, shots, seed, target=target)
     expected = factorize(target)
-    if measurement.inconclusive:
+    if measurement.readout is None:
         status, readout_str, readout_value = "inconclusive", None, None
     else:
         readout_str = format_occupation(measurement.readout)

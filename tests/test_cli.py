@@ -2,17 +2,19 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import traceback
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import primecavity.experiments
-from primecavity import cli
+from primecavity import cli, factorize
 from primecavity.experiments import PrepareReport
 
 
@@ -244,6 +246,9 @@ def _run_in_process(argv):
     # w.w overflows in the integrator: numpy warnings, then exit 4 on NaN probabilities
     (["prepare", "--target", "8", "--hbar", "1e300", "--lambda", "1e290"],
      "lambda=1e+290 is too large for 18 levels: the coupling's w.w overflows"),
+    # log(14)*1.7e308 is past the float range: the basis rejects it before any coupling
+    (["prepare", "--omega", "1.7e308", "--target", "6"],
+     "hbar*omega=1.7e+308 is too large: the energy of level 14 overflows"),
 ])
 def test_values_past_the_float_range_exit_4_by_name(argv, message):
     code, out, err = _run_in_process(argv)
@@ -285,6 +290,84 @@ def test_scaling_cli_fuzz_exits_0_or_4_without_traceback_or_warning(
     if code == 0:  # no inf or nan column: every number past the header is finite
         rows = [line.split(",") for line in out.splitlines()[2:]]
         assert rows and all(math.isfinite(float(x)) for row in rows for x in row), (argv, out)
+
+
+# an exit-4 message names the input it rejects: a flag, or one of these words
+_INPUT_NAMES = ("target", "nmax", "lambda", "kappa", "coupling-model", "dt", "shots", "seed",
+                "mode", "out", "format", "hbar", "omega", "n_max", "coupling", "levels",
+                "argument")
+
+
+def _assert_no_invariant_fails(argv):
+    # no invariant fails on any of these inputs, so exit 1 never occurs
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code == 4:
+        assert any(name in err for name in _INPUT_NAMES), (argv, err)
+    return code, out
+
+
+_ODD_COUNTS = st.sampled_from([-1, 0, 2**63 - 1, 2**63, 10**20])
+_PREPARE_VALUES = {  # flag: (values it admits, values of its type from anywhere)
+    "target": (st.integers(2, 60), st.integers(-3, 60)),
+    "lambda": (st.floats(1e-6, 1e-2), _ODD_FLOATS),
+    # the drive time grows like sqrt(kappa)*N, and a tiny --lambda passes the guard at any
+    # time: kappa stays at most 10**4 unless it is too large for any run (2**53 steps)
+    "kappa": (st.floats(1.0, 100.0), st.one_of(st.floats(max_value=1e4),
+                                               st.sampled_from([1e300, 1e308, float("inf")]))),
+    # a valid dt below 1e-3 makes a long run: prepare --target 3 --dt 1e-6 takes seconds
+    "dt": (st.one_of(st.none(), st.floats(1e-3, 1e-2)),
+           st.sampled_from([0.0, -1e-3, 5e-324, 1e-300, 10.0, float("nan"), float("inf")])),
+    "shots": (st.integers(1, 2000), _ODD_COUNTS),
+    "seed": (st.integers(0, 2**32), _ODD_COUNTS),
+    "hbar": (st.just(1.0), _ODD_FLOATS),
+    "omega": (st.just(1.0), _ODD_FLOATS),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    odd=st.sets(st.sampled_from([*_PREPARE_VALUES, "nmax"]), max_size=2),
+    mode=st.sampled_from(["envelope", "instantaneous"]),
+    model=st.sampled_from(["star-uniform", "star-decay"]),
+)
+def test_prepare_cli_fuzz_exits_0_2_3_or_4_by_name(data, odd, mode, model):
+    # at most two flags take a value from anywhere; the rest stay admissible
+    values = {flag: data.draw(strategies[flag in odd], label=flag)
+              for flag, strategies in _PREPARE_VALUES.items()}
+    if "omega" in odd and "dt" not in odd:  # a set dt steps ~2*pi/(omega*log(N)*dt) a period
+        values["dt"] = None
+    values["nmax"] = data.draw(st.integers(-5, 250) if "nmax" in odd else st.one_of(
+        st.none(), st.integers(2 * max(values["target"], 2), 250)), label="nmax")
+    argv = ["prepare", "--mode", mode, "--coupling-model", model]
+    argv += [f"--{flag}={value!r}" for flag, value in values.items() if value is not None]
+    _assert_no_invariant_fails(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nmax=st.integers(-5, 5000),
+    fmt=st.sampled_from(["csv", "json"]),
+    unit=st.sampled_from(["--hbar", "--omega"]),
+    unit_value=st.one_of(st.just(1.0), _ODD_FLOATS),
+)
+def test_spectrum_cli_fuzz_exits_0_or_4_by_name(nmax, fmt, unit, unit_value):
+    argv = ["spectrum", f"--nmax={nmax}", "--format", fmt, f"{unit}={unit_value!r}"]
+    code, out = _assert_no_invariant_fails(argv)
+    assert code in (0, 4), (argv, code)
+    if code == 0 and fmt == "csv":  # no inf or nan energy or gap
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert len(rows) == nmax and all(
+            math.isfinite(float(x)) for row in rows for x in row[2:]), argv
+
+
+@pytest.mark.parametrize("nmax", [-5, 0, 1, 2, 16])
+def test_check_cli_exits_0_or_4_by_name(nmax):
+    code, out = _assert_no_invariant_fails(["check", f"--nmax={nmax}"])
+    assert code == (0 if nmax >= 2 else 4)
+    assert ("12/12 invariants hold" in out) == (code == 0)
 
 
 @pytest.mark.parametrize("argv,runner,size", [
@@ -375,6 +458,18 @@ def test_check_command(capsys):
     assert "FAIL" not in out
 
 
+def test_check_prints_fail_and_exits_1_when_an_invariant_fails(monkeypatch, capsys):
+    def wrong_at_4096(n):
+        return factorize(n + 1 if n == 4096 else n)
+
+    monkeypatch.setattr(primecavity.experiments, "factorize", wrong_at_4096)
+    assert run_cli(["check", "--nmax", "16"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL  encoding round-trip vs naive oracle "
+            "(AssertionError: compose(factorize(4096)) != 4096)") in out
+    assert out.count("FAIL") == 1 and "11/12 invariants hold" in out
+
+
 def test_check_rejects_a_basis_without_an_excited_level(capsys):
     assert run_cli(["check", "--nmax", "1"]) == 4
     captured = capsys.readouterr()
@@ -394,9 +489,10 @@ def test_check_out_of_memory_is_config_error(monkeypatch, capsys):
 
 
 def test_module_entry_point_version():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "primecavity", "--version"],
-        capture_output=True, text=True, check=False,
+        capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0
     assert "primecavity 0.1.0" in proc.stdout

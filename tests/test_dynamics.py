@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import primecavity.dynamics
 import primecavity.experiments
@@ -14,6 +15,7 @@ from primecavity import (
     CouplingOperator,
     DriveConfig,
     MeasurementResult,
+    PropagationError,
     Units,
     build_basis,
     build_coupling,
@@ -186,16 +188,43 @@ def test_sample_pure_state():
     assert result.counts == {12: 1000}
     assert dict(result.readout.entries) == {2: 2, 3: 1}
     assert result.conditional_target_probability == 1.0
-    assert not result.inconclusive
 
 
 def test_sample_vacuum_is_inconclusive():
     basis = build_basis(8)
     result = sample_measurement(vacuum_state(basis), 500, seed=0, target=4)
-    assert result.inconclusive
     assert result.readout is None
     assert result.conditional_target_probability is None
     assert result.counts == {1: 500}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parts=hnp.arrays(np.float64, st.tuples(st.just(2), st.integers(2, 12)),
+                     elements=st.floats(-1.0, 1.0)),
+    shots=st.integers(1, 200),
+    seed=st.integers(0, 2**64 - 1),
+    target=st.integers(2, 12),
+)
+def test_sample_measurement_is_a_pure_function_of_state_shots_and_seed(parts, shots, seed,
+                                                                       target):
+    psi = parts[0] + 1j * parts[1]
+    norm = np.linalg.norm(psi)
+    assume(norm > 1e-3)
+    psi /= norm
+    target = min(target, psi.size)
+    result = sample_measurement(psi, shots, seed, target=target)
+    assert sample_measurement(psi.copy(), shots, seed, target=target) == result
+
+    counts = result.counts
+    assert sum(counts.values()) == shots and set(counts) <= set(range(1, psi.size + 1))
+    excited = {label: c for label, c in counts.items() if label >= 2}
+    if not excited:  # every shot on the vacuum: inconclusive
+        assert result.readout is None and result.conditional_target_probability is None
+        return
+    top = max(excited.values())
+    assert result.readout == factorize(min(m for m, c in excited.items() if c == top))
+    assert result.conditional_target_probability == counts.get(target, 0) / sum(excited.values())
 
 
 def test_sample_counts_always_total_shots():
@@ -284,6 +313,20 @@ def test_propagate_rejects_non_finite_arguments(t_final, dt, named):
     basis, coupling, drive = _uniform_setup(8, 3, 1e-3)
     with pytest.raises(ValueError, match=f"^{named} must be finite"):
         propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt)
+
+
+def test_propagate_rejects_a_zero_sample_stride():
+    basis, coupling, drive = _uniform_setup(8, 3, 1e-3)
+    with pytest.raises(ValueError, match="sample_stride must be >= 1"):
+        propagate(vacuum_state(basis), basis, coupling, drive, 1.0, 1e-3, sample_stride=0)
+
+
+def test_norm_drift_past_the_tolerance_raises_naming_dt(monkeypatch):
+    # every driven run drifts by rounding; a zero tolerance turns that into the error
+    monkeypatch.setattr(primecavity.dynamics, "NORM_TOLERANCE", 0.0)
+    basis, coupling, drive = _uniform_setup(8, 3, 1e-3)
+    with pytest.raises(PropagationError, match=r"exceeds tolerance 0; reduce dt below"):
+        propagate(vacuum_state(basis), basis, coupling, drive, 20.0, 1e-3)
 
 
 def _tracer_sample_count(times, stride):

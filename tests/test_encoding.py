@@ -134,6 +134,11 @@ def test_level_spacing_values():
     assert math.isclose(upper_gap(2), LN_3_OVER_2, rel_tol=1e-14)
 
 
+def test_upper_gap_rejects_labels_below_1():
+    with pytest.raises(ValueError, match=r"labels start at 1 \(got 0\)"):
+        upper_gap(0)
+
+
 def test_level_spacing_is_upper_gap():
     # the nearest-neighbour spacing of N >= 2 is its upper gap: the lower gap
     # is always the larger of the two

@@ -268,6 +268,11 @@ def test_prepare_truncation_rule():
         run_prepare(6, n_max=10)
 
 
+def test_prepare_rejects_the_vacuum_as_target():
+    with pytest.raises(ConfigurationError, match=r"target must be an excited label \(got 1\)"):
+        run_prepare(target=1)
+
+
 def test_prepare_inconclusive_run():
     # vanishing coupling leaves every shot in the vacuum
     report = run_prepare(6, strength=1e-7, shots=3, seed=0)

@@ -216,16 +216,16 @@ def test_discrimination_time_star_decay_uses_worst_competitor():
     coupling = build_coupling(basis, "star-decay", 1e-2)
     target = 4
     t = discrimination_time(target, basis, coupling, kappa=9.0)
-    w_target = abs(coupling.vacuum_coupling(target))
+    w_target = abs(coupling.vacuum_row[target - 1])
     worst = max(
-        abs(coupling.vacuum_coupling(m)) / abs(detuning(m, target))
+        abs(coupling.vacuum_row[m - 1]) / abs(detuning(m, target))
         for m in range(2, 17)
         if m != target
     )
     assert t == pytest.approx(2.0 * 3.0 * worst / w_target, rel=1e-12)
     # for the decaying star at N=4 the lower neighbor sets the bound
     assert worst == pytest.approx(
-        abs(coupling.vacuum_coupling(3)) / abs(detuning(3, target)), rel=1e-12
+        abs(coupling.vacuum_row[2]) / abs(detuning(3, target)), rel=1e-12
     )
 
 
@@ -378,6 +378,13 @@ def test_discrimination_time_domain_errors():
         discrimination_time(4, basis, coupling, kappa=0.5)
     with pytest.raises(ConfigurationError):
         discrimination_time(4, basis, coupling, mode="adaptive")
+
+
+def test_discrimination_time_rejects_a_coupling_one_level_longer():
+    basis = build_basis(16)
+    coupling = build_coupling(build_basis(17), "star-uniform", 1e-3)
+    with pytest.raises(ValueError, match="coupling and basis dimensions differ"):
+        discrimination_time(8, basis, coupling)
 
 
 @settings(max_examples=40, deadline=None)
