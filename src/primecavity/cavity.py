@@ -92,13 +92,23 @@ class CouplingOperator:
                 raise ValueError("coupling diagonal must vanish (pure transition operator)")
             if np.any(m[1:, 1:]):
                 raise ConfigurationError("not a star coupling: nonzero excited-excited elements")
-            vacuum_row = m[0].copy()  # a view would keep the whole matrix alive
-        row = np.asarray(vacuum_row, dtype=complex)
+            vacuum_row = m[0]
+        row = np.array(vacuum_row, dtype=complex)  # a private copy: the caller keeps its array
         if row.ndim != 1 or not row.size or row[0] != 0 or not np.all(np.isfinite(row)):
             raise ValueError("the vacuum row must be 1-d and finite, with a zero diagonal entry")
+        self._hold(model, strength, row)
+
+    def _hold(self, model: str, strength: float, row: np.ndarray) -> None:
         row.setflags(write=False)
         for name, value in (("model", model), ("strength", strength), ("vacuum_row", row)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _owning(cls, model: str, strength: float, row: np.ndarray) -> "CouplingOperator":
+        """A coupling over a valid row no one else holds: no checks, no second copy."""
+        coupling = object.__new__(cls)
+        coupling._hold(model, strength, row)
+        return coupling
 
     @property
     def n_max(self) -> int:
@@ -137,7 +147,7 @@ def build_coupling(basis: CavityBasis, model: str, strength: float) -> CouplingO
     if abs(row[-1]) < sys.float_info.min:  # the smallest entry in either model
         raise ValueError(f"lambda={strength:g} is too small: the coupling to level {n} is "
                          f"{abs(row[-1]):.3g}, below the smallest normal float")
-    return CouplingOperator(model=model, strength=strength, vacuum_row=row)
+    return CouplingOperator._owning(model, strength, row)
 
 
 def verify_reachability(coupling: CouplingOperator) -> bool:

@@ -112,9 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _output(args, as_dict, csv_lines, *result) -> None:
     """Write a result as --format json or csv to --out, or to stdout without it.
 
-    as_dict(*result) is the JSON object, csv_lines(*result) the CSV lines,
+    as_dict(*result) is the JSON object, csv_lines(*result) the CSV text in pieces,
     written as they come. A CSV file gets a plot script under --gnuplot-script.
     """
+    plot = args.format == "csv" and args.out is not None and getattr(args, "gnuplot_script", False)
+    if plot and args.out.with_suffix(".gp").resolve() == args.out.resolve():
+        raise ConfigurationError(f"--out {args.out} is where --gnuplot-script writes its plot "
+                                 f"script; give the CSV another suffix")
     if args.format == "json":
         lines = [json.dumps(as_dict(*result), indent=2), "\n"]
     else:
@@ -124,7 +128,7 @@ def _output(args, as_dict, csv_lines, *result) -> None:
         return
     with open(args.out, "w", newline="") as fh:
         fh.writelines(lines)
-    if args.format == "csv" and getattr(args, "gnuplot_script", False):
+    if plot:
         write_gnuplot_script(args.out, args.command)
 
 

@@ -47,10 +47,14 @@ def _as_label(n) -> int:
     return int(n)
 
 
-def _sieve(limit: int) -> np.ndarray:
-    """Smallest prime factor of 0..limit: spf[0] = 0, spf[1] = 1, spf[p] = p for a prime p."""
+def _check_sieve_limit(limit: int) -> None:
     if limit > _SPF_CAP:
         raise MemoryError(f"the smallest-prime-factor sieve stops at {_SPF_CAP}")
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """Smallest prime factor of 0..limit: spf[0] = 0, spf[1] = 1, spf[p] = p for a prime p."""
+    _check_sieve_limit(limit)
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if not spf[p]:  # no smaller prime divides p
@@ -220,28 +224,30 @@ def format_occupation(occ: OccupationVector) -> str:
 def occupation_strings(n_max: int) -> list[str]:
     """format_occupation(factorize(n)) for n = 1..n_max, at position n - 1.
 
-    One pass over a smallest-prime-factor sieve: with q = spf[n] and q^m the
-    full power of q in n, s[n] = head(q^m) + "*" + s[n / q^m].
+    Built one prime power at a time over a smallest-prime-factor sieve. Every
+    prime p renders as str(p); then, for p <= sqrt(n_max) in descending order
+    and each power p^m, s[p^m] = head(p^m) and every cofactor c > 1 whose
+    smallest prime factor exceeds p gets s[p^m * c] = head(p^m) + "*" + s[c]
+    in one vectorised add.
+    s[c] only holds primes above p, so it is complete when it is read.
     """
     n_max = _as_label(n_max)
     if n_max < 1:
         raise ValueError(f"labels start at 1 (got n_max={n_max})")
-    spf = _sieve(n_max).tolist()
-    strings = ["", "1"]  # slot 0 is padding
-    power = [0, 0]  # exponent m of spf[n] in n
-    cofactor = [0, 1]  # n / spf[n]^m
-    for n in range(2, n_max + 1):
-        q = spf[n]
-        r = n // q
-        if spf[r] == q:
-            m, c = power[r] + 1, cofactor[r]
-        else:
-            m, c = 1, r
-        power.append(m)
-        cofactor.append(c)
-        head = f"{q}^{m}" if m > 1 else str(q)
-        strings.append(head if c == 1 else f"{head}*{strings[c]}")
-    return strings[1:]
+    spf = _sieve(n_max)
+    strings = np.empty(n_max + 1, dtype=object)  # slot 0 is padding
+    strings[1] = "1"
+    primes = np.flatnonzero(spf == np.arange(n_max + 1))[2:]  # spf[0] = 0 and spf[1] = 1
+    strings[primes] = list(map(str, primes.tolist()))
+    for p in reversed(primes[: np.searchsorted(primes, math.isqrt(n_max), "right")].tolist()):
+        power, m = p, 1
+        while power <= n_max:
+            head = f"{p}^{m}" if m > 1 else str(p)
+            strings[power] = head
+            cofactors = np.flatnonzero(spf[2 : n_max // power + 1] > p) + 2
+            strings[power * cofactors] = head + "*" + strings[cofactors]
+            power, m = power * p, m + 1
+    return strings[1:].tolist()
 
 
 def level_energy(n: int, units: Units = Units()) -> float:

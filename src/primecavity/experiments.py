@@ -33,6 +33,7 @@ from .dynamics import (
     vacuum_state,
 )
 from .encoding import (
+    _check_sieve_limit,
     compose,
     factorize,
     format_occupation,
@@ -51,6 +52,7 @@ SCHEMA_VERSION = 1
 
 _FLOAT_FMT = ".17g"
 CURVE_POINTS = 9  # drive times at which a prepare report samples the target probability
+_CSV_BLOCK_ROWS = 2048  # level-table rows per string spectrum_csv_lines yields
 
 
 def _fmt(x: float) -> str:
@@ -75,7 +77,9 @@ def run_spectrum(n_max: int, units: Units = Units()) -> SpectrumColumns:
 
     Factorizations come from one smallest-prime-factor table; the gap is
     upper_gap's expression, so every entry matches the per-label functions.
+    A label past the sieve's int32 range is refused before the basis allocates.
     """
+    _check_sieve_limit(n_max)
     basis = build_basis(n_max, units)
     scale = units.energy_scale
     return SpectrumColumns(
@@ -97,10 +101,17 @@ def spectrum_manifest(n_max: int, units: Units) -> dict:
 
 
 def spectrum_csv_lines(columns: SpectrumColumns, manifest: dict):
-    """The spectrum CSV one line at a time, so a writer can stream it."""
+    """The spectrum CSV in pieces a writer can stream: two header lines, then blocks of rows.
+
+    Each block joins its rows' strings; one % over a repeated format string is
+    a little faster but grows its buffer piecewise, which fragments the heap.
+    """
     yield f"# manifest: {json.dumps(manifest)}\n"
     yield "N,factors,energy,gap\n"
-    yield from map("%d,%s,%.17g,%.17g\n".__mod__, zip(*columns))
+    row = "%d,%s,%.17g,%.17g\n"
+    for i in range(0, len(columns.labels), _CSV_BLOCK_ROWS):
+        block = zip(*(column[i : i + _CSV_BLOCK_ROWS] for column in columns))
+        yield "".join(map(row.__mod__, block))
 
 
 def spectrum_dict(columns: SpectrumColumns, manifest: dict) -> dict:

@@ -114,6 +114,15 @@ def test_coupling_stores_only_its_vacuum_row():
     assert w.vacuum_row[-1] == pytest.approx(1e-3 / 1000.0, rel=1e-15)
 
 
+def test_coupling_copies_the_callers_row():
+    row = np.array([0, 1e-3, 2e-3], dtype=complex)
+    coupling = CouplingOperator("x", 1e-3, row)
+    assert row.flags.writeable and coupling.vacuum_row is not row
+    row[1] = 5.0
+    assert coupling.vacuum_row.tolist() == [0, 1e-3, 2e-3]
+    assert not coupling.vacuum_row.flags.writeable
+
+
 def test_coupling_matrix_roundtrip():
     basis = build_basis(9)
     for model in ("star-uniform", "star-decay"):

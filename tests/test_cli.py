@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import primecavity.experiments
 from primecavity import cli, factorize
-from primecavity.experiments import PrepareReport
+from primecavity.experiments import _CSV_BLOCK_ROWS, PrepareReport
 
 
 def run_cli(argv):
@@ -53,6 +53,19 @@ def test_spectrum_csv_and_gnuplot(tmp_path):
     assert body[2 + 11].split(",")[1] == "2^2*3"
 
 
+@pytest.mark.parametrize("argv", [["spectrum", "--nmax", "5"], ["scaling", "8", "16"]])
+def test_gnuplot_script_may_not_overwrite_its_csv(argv, tmp_path, capsys):
+    out = tmp_path / "levels.gp"
+    assert run_cli(argv + ["--out", str(out), "--gnuplot-script"]) == 4
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists()
+    link = tmp_path / "levels.csv"  # a CSV path that resolves to its own plot script
+    link.symlink_to(out)
+    assert run_cli(argv + ["--out", str(link), "--gnuplot-script"]) == 4
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_json(tmp_path):
     out = tmp_path / "levels.json"
     assert run_cli(["spectrum", "--nmax", "12", "--format", "json", "--out", str(out)]) == 0
@@ -61,7 +74,7 @@ def test_spectrum_json(tmp_path):
     assert payload["rows"][11]["factors"] == "2^2*3"
 
 
-@pytest.mark.parametrize("nmax", ["2", "3000"])
+@pytest.mark.parametrize("nmax", ["2", "3000", str(2 * _CSV_BLOCK_ROWS + 1)])
 def test_spectrum_stdout_bytes_equal_out_file(nmax, tmp_path, capsys):
     argv = ["spectrum", "--nmax", nmax, "--hbar", "1.3", "--omega", "0.7"]
     assert run_cli(argv) == 0

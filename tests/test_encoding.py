@@ -252,6 +252,13 @@ def test_occupation_strings_match_per_label_formatting():
     assert strings == [format_occupation(factorize(n)) for n in range(1, 20_001)]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_occupation_strings_around_prime_squares(p):
+    for n_max in (p * p - 1, p * p, p * p + 1):
+        expected = [format_occupation(factorize(n)) for n in range(1, n_max + 1)]
+        assert occupation_strings(n_max) == expected
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3000))
 def test_occupation_strings_prefix_property(n_max):

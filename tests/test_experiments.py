@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import primecavity.experiments
 from primecavity import (
     ConfigurationError,
     ScalingRecord,
@@ -20,6 +21,7 @@ from primecavity import (
 )
 from primecavity.cli import main as run_cli
 from primecavity.experiments import (
+    _CSV_BLOCK_ROWS,
     prepare_report_dict,
     scaling_study_dict,
     spectrum_csv_lines,
@@ -83,7 +85,8 @@ def test_scaling_and_spectrum_print_the_same_energy():
 def test_spectrum_csv_floats_reimport_bit_exactly():
     units = Units(hbar=1.3, omega=0.7)
     table = run_spectrum(500, units)
-    lines = list(spectrum_csv_lines(table, spectrum_manifest(500, units)))[2:]
+    text = "".join(spectrum_csv_lines(table, spectrum_manifest(500, units)))
+    lines = text.splitlines(keepends=True)[2:]
     for row, line in zip(zip(*table), lines, strict=True):
         label, factors, energy, gap = line.rstrip("\n").split(",")
         assert (int(label), factors, float(energy), float(gap)) == row
@@ -95,12 +98,34 @@ def test_spectrum_json_rows_equal_csv_rows():
     manifest = spectrum_manifest(2000, units)
     payload = json.loads(json.dumps(spectrum_dict(table, manifest)))
     assert payload["config"] == manifest
-    lines = list(spectrum_csv_lines(table, manifest))[2:]
+    lines = "".join(spectrum_csv_lines(table, manifest)).splitlines(keepends=True)[2:]
     for row, line in zip(payload["rows"], lines, strict=True):
         label, factors, energy, gap = line.rstrip("\n").split(",")
         assert (row["N"], row["factors"], row["energy"], row["gap"]) == (
             int(label), factors, float(energy), float(gap)
         )
+
+
+@pytest.mark.parametrize("n_max", [2, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                   _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 1])
+def test_spectrum_csv_blocks_equal_per_row_formatting(n_max):
+    units = Units(hbar=1.3, omega=0.7)
+    table = run_spectrum(n_max, units)
+    manifest = spectrum_manifest(n_max, units)
+    pieces = list(spectrum_csv_lines(table, manifest))
+    assert pieces[:2] == [f"# manifest: {json.dumps(manifest)}\n", "N,factors,energy,gap\n"]
+    assert len(pieces) == 2 + math.ceil(n_max / _CSV_BLOCK_ROWS)
+    assert "".join(pieces[2:]) == "".join("%d,%s,%.17g,%.17g\n" % r for r in zip(*table))
+
+
+def test_spectrum_refuses_a_label_past_the_sieve_before_building_the_basis(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("build_basis ran before the sieve limit was checked")
+
+    monkeypatch.setattr(primecavity.experiments, "build_basis", unreachable)
+    with pytest.raises(MemoryError, match="sieve stops at 2147483647"):
+        run_spectrum(2**31)
+    assert run_cli(["spectrum", "--nmax", str(2**31)]) == 4
 
 
 def test_scaling_sweep_reaches_a_million_levels():
