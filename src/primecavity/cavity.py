@@ -96,19 +96,9 @@ class CouplingOperator:
         row = np.array(vacuum_row, dtype=complex)  # a private copy: the caller keeps its array
         if row.ndim != 1 or not row.size or row[0] != 0 or not np.all(np.isfinite(row)):
             raise ValueError("the vacuum row must be 1-d and finite, with a zero diagonal entry")
-        self._hold(model, strength, row)
-
-    def _hold(self, model: str, strength: float, row: np.ndarray) -> None:
         row.setflags(write=False)
         for name, value in (("model", model), ("strength", strength), ("vacuum_row", row)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def _owning(cls, model: str, strength: float, row: np.ndarray) -> "CouplingOperator":
-        """A coupling over a valid row no one else holds: no checks, no second copy."""
-        coupling = object.__new__(cls)
-        coupling._hold(model, strength, row)
-        return coupling
 
     @property
     def n_max(self) -> int:
@@ -147,7 +137,7 @@ def build_coupling(basis: CavityBasis, model: str, strength: float) -> CouplingO
     if abs(row[-1]) < sys.float_info.min:  # the smallest entry in either model
         raise ValueError(f"lambda={strength:g} is too small: the coupling to level {n} is "
                          f"{abs(row[-1]):.3g}, below the smallest normal float")
-    return CouplingOperator._owning(model, strength, row)
+    return CouplingOperator(model, strength, row)
 
 
 def verify_reachability(coupling: CouplingOperator) -> bool:

@@ -47,14 +47,10 @@ def _as_label(n) -> int:
     return int(n)
 
 
-def _check_sieve_limit(limit: int) -> None:
-    if limit > _SPF_CAP:
-        raise MemoryError(f"the smallest-prime-factor sieve stops at {_SPF_CAP}")
-
-
 def _sieve(limit: int) -> np.ndarray:
     """Smallest prime factor of 0..limit: spf[0] = 0, spf[1] = 1, spf[p] = p for a prime p."""
-    _check_sieve_limit(limit)
+    if limit > _SPF_CAP:
+        raise MemoryError(f"the smallest-prime-factor sieve stops at {_SPF_CAP}")
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if not spf[p]:  # no smaller prime divides p

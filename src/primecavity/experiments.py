@@ -33,7 +33,6 @@ from .dynamics import (
     vacuum_state,
 )
 from .encoding import (
-    _check_sieve_limit,
     compose,
     factorize,
     format_occupation,
@@ -77,14 +76,15 @@ def run_spectrum(n_max: int, units: Units = Units()) -> SpectrumColumns:
 
     Factorizations come from one smallest-prime-factor table; the gap is
     upper_gap's expression, so every entry matches the per-label functions.
-    A label past the sieve's int32 range is refused before the basis allocates.
+    The strings come first, so a label past the sieve's int32 range is refused
+    before the basis allocates.
     """
-    _check_sieve_limit(n_max)
+    factors = occupation_strings(n_max)
     basis = build_basis(n_max, units)
     scale = units.energy_scale
     return SpectrumColumns(
         labels=basis.labels,
-        factors=occupation_strings(n_max),
+        factors=factors,
         energies=basis.energy_vector.tolist(),
         gaps=[scale * math.log1p(1.0 / n) for n in basis.labels],
     )
