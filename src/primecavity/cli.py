@@ -7,6 +7,7 @@ Subcommands: spectrum, prepare, scaling, check. Exit codes: 0 success,
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -113,23 +114,21 @@ def _output(args, as_dict, csv_lines, *result) -> None:
     """Write a result as --format json or csv to --out, or to stdout without it.
 
     as_dict(*result) is the JSON object, csv_lines(*result) the CSV text in pieces,
-    written as they come. A CSV file gets a plot script under --gnuplot-script.
+    written as they come. A CSV file gets a plot script under --gnuplot-script,
+    written first: write_gnuplot_script refuses a CSV that is its own script path.
     """
-    plot = args.format == "csv" and args.out is not None and getattr(args, "gnuplot_script", False)
-    if plot and args.out.with_suffix(".gp").resolve() == args.out.resolve():
-        raise ConfigurationError(f"--out {args.out} is where --gnuplot-script writes its plot "
-                                 f"script; give the CSV another suffix")
     if args.format == "json":
         lines = [json.dumps(as_dict(*result), indent=2), "\n"]
     else:
         lines = csv_lines(*result)
     if args.out is None:
         sys.stdout.writelines(lines)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter shutdown
         return
+    if args.format == "csv" and getattr(args, "gnuplot_script", False):
+        write_gnuplot_script(args.out, args.command)
     with open(args.out, "w", newline="") as fh:
         fh.writelines(lines)
-    if plot:
-        write_gnuplot_script(args.out, args.command)
 
 
 def _cmd_spectrum(args) -> int:
@@ -201,6 +200,11 @@ def main(argv=None) -> int:
             if size is None:
                 size = max(args.targets) + 1 if args.command == "scaling" else 2 * args.target + 2
             raise ConfigurationError(f"not enough memory for a basis of {size} levels") from None
+        except OSError as exc:  # the output could not be written
+            if isinstance(exc, BrokenPipeError):  # nothing more reaches stdout, even at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            where = "stdout" if getattr(args, "out", None) is None else f"--out {args.out}"
+            raise ConfigurationError(f"cannot write {where}: {exc}") from None
     except (ConfigurationError, ValueError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4

@@ -33,6 +33,7 @@ from .dynamics import (
     vacuum_state,
 )
 from .encoding import (
+    _as_label,
     compose,
     factorize,
     format_occupation,
@@ -56,6 +57,25 @@ _CSV_BLOCK_ROWS = 2048  # level-table rows per string spectrum_csv_lines yields
 
 def _fmt(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
+
+
+def _manifest(command: str, units: Units, config: dict, timed: bool = True) -> dict:
+    """The config echo of every report: version, command, its own keys, then the units."""
+    manifest = {"schema_version": SCHEMA_VERSION, "command": command, **config,
+                "hbar": units.hbar, "omega": units.omega}
+    if timed:
+        manifest["time_scope"] = "preparation only; measurement duration not modeled"
+    return manifest
+
+
+def _envelope(manifest: dict, **payload) -> dict:
+    """A JSON report: the schema version, the config echo, then the payload's keys."""
+    return {"schema_version": SCHEMA_VERSION, "config": manifest, **payload}
+
+
+def _csv_head(manifest: dict, columns, end: str = "\n") -> list[str]:
+    """The first two lines of a CSV report: the manifest, then the column header ending in end."""
+    return [f"# manifest: {json.dumps(manifest)}\n", ",".join(columns) + end]
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +111,7 @@ def run_spectrum(n_max: int, units: Units = Units()) -> SpectrumColumns:
 
 
 def spectrum_manifest(n_max: int, units: Units) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
-        "n_max": n_max,
-        "hbar": units.hbar,
-        "omega": units.omega,
-    }
+    return _manifest("spectrum", units, {"n_max": n_max}, timed=False)
 
 
 def spectrum_csv_lines(columns: SpectrumColumns, manifest: dict):
@@ -106,22 +120,16 @@ def spectrum_csv_lines(columns: SpectrumColumns, manifest: dict):
     Each block joins its rows' strings; one % over a repeated format string is
     a little faster but grows its buffer piecewise, which fragments the heap.
     """
-    yield f"# manifest: {json.dumps(manifest)}\n"
-    yield "N,factors,energy,gap\n"
-    row = "%d,%s,%.17g,%.17g\n"
+    yield from _csv_head(manifest, ("N", "factors", "energy", "gap"))
+    row = f"%d,%s,%{_FLOAT_FMT},%{_FLOAT_FMT}\n"
     for i in range(0, len(columns.labels), _CSV_BLOCK_ROWS):
         block = zip(*(column[i : i + _CSV_BLOCK_ROWS] for column in columns))
         yield "".join(map(row.__mod__, block))
 
 
 def spectrum_dict(columns: SpectrumColumns, manifest: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": manifest,
-        "rows": [
-            {"N": n, "factors": f, "energy": e, "gap": g} for n, f, e, g in zip(*columns)
-        ],
-    }
+    rows = [{"N": n, "factors": f, "energy": e, "gap": g} for n, f, e, g in zip(*columns)]
+    return _envelope(manifest, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +239,11 @@ def run_prepare(
         readout_value = compose(measurement.readout)
         status = "pass" if measurement.readout == expected else "mismatch"
 
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "prepare",
-        "target": target,
-        "n_max": n_max,
-        "coupling_model": model,
-        "lambda": strength,
-        "kappa": kappa,
-        "mode": mode,
-        "shots": shots,
-        "seed": seed,
-        "dt": dt,
-        "hbar": units.hbar,
-        "omega": units.omega,
-        "time_scope": "preparation only; measurement duration not modeled",
-    }
     return PrepareReport(
-        manifest=manifest,
+        manifest=_manifest("prepare", units, {
+            "target": target, "n_max": n_max, "coupling_model": model, "lambda": strength,
+            "kappa": kappa, "mode": mode, "shots": shots, "seed": seed, "dt": dt,
+        }),
         t_disc=t_disc,
         curve_times=curve_times,
         curve_exact=curve_exact,
@@ -268,7 +263,7 @@ def prepare_report_dict(report: PrepareReport) -> dict:
     manifest = out.pop("manifest")
     # JSON object keys are strings; keep counts readable as label -> count
     out["counts"] = {str(k): v for k, v in sorted(report.counts.items())}
-    return {"schema_version": SCHEMA_VERSION, "config": manifest, "results": out}
+    return _envelope(manifest, results=out)
 
 
 def prepare_csv_lines(report: PrepareReport):
@@ -276,8 +271,7 @@ def prepare_csv_lines(report: PrepareReport):
 
     Rows end in CRLF, the line ending of the csv module's default dialect.
     """
-    yield f"# manifest: {json.dumps(report.manifest)}\n"
-    yield "t,p_exact,p_first_order\r\n"
+    yield from _csv_head(report.manifest, ("t", "p_exact", "p_first_order"), end="\r\n")
     for row in zip(report.curve_times, report.curve_exact, report.curve_first_order):
         yield ",".join(map(_fmt, row)) + "\r\n"
 
@@ -349,7 +343,7 @@ def run_scaling(
     """
     if not targets:
         raise ConfigurationError("scaling sweep needs at least one target")
-    targets = sorted(set(int(n) for n in targets))
+    targets = sorted(set(map(_as_label, targets)))
     if targets[0] < 2:
         raise ConfigurationError("scaling targets must be excited labels (>= 2)")
     if n_max is None:
@@ -381,19 +375,10 @@ def run_scaling(
         )
 
     fit = fit_loglog(records) if len(records) >= 3 else None
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scaling",
-        "targets": targets,
-        "n_max": n_max,
-        "coupling_model": model,
-        "lambda": strength,
-        "kappa": kappa,
-        "mode": mode,
-        "hbar": units.hbar,
-        "omega": units.omega,
-        "time_scope": "preparation only; measurement duration not modeled",
-    }
+    manifest = _manifest("scaling", units, {
+        "targets": targets, "n_max": n_max, "coupling_model": model, "lambda": strength,
+        "kappa": kappa, "mode": mode,
+    })
     return ScalingStudy(records=tuple(records), fit=fit, manifest=manifest)
 
 
@@ -401,7 +386,7 @@ _SCALING_COLUMNS = ["N", "bit_size", "t_disc", "energy", "product", "ratio"]
 
 
 def scaling_csv_lines(study: ScalingStudy) -> list[str]:
-    lines = [f"# manifest: {json.dumps(study.manifest)}\n", ",".join(_SCALING_COLUMNS) + "\n"]
+    lines = _csv_head(study.manifest, _SCALING_COLUMNS)
     for r in study.records:
         floats = (r.bit_size, r.t_disc, r.energy, r.product, r.ratio)
         lines.append(",".join([str(r.label), *map(_fmt, floats)]) + "\n")
@@ -414,12 +399,8 @@ def write_scaling_csv(study: ScalingStudy, path) -> None:
 
 
 def scaling_study_dict(study: ScalingStudy) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": study.manifest,
-        "records": [asdict(r) for r in study.records],
-        "fit": asdict(study.fit) if study.fit else None,
-    }
+    return _envelope(study.manifest, records=[asdict(r) for r in study.records],
+                     fit=asdict(study.fit) if study.fit else None)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +408,16 @@ def scaling_study_dict(study: ScalingStudy) -> dict:
 
 
 def write_gnuplot_script(csv_path, kind: str) -> Path:
-    """Emit a small plot script next to an exported CSV; returns its path."""
+    """Emit a small plot script next to an exported CSV; returns its path.
+
+    A CSV path that resolves to its own script path (a .gp file, or a link to
+    one) is refused before anything is written, so the CSV is never replaced.
+    """
     csv_path = Path(csv_path)
     gp = csv_path.with_suffix(".gp")
+    if gp.resolve() == csv_path.resolve():
+        raise ConfigurationError(f"--out {csv_path} is where --gnuplot-script writes its plot "
+                                 f"script; give the CSV another suffix")
     templates = {"scaling": ("set logscale xy\n", "preparation time", "linespoints"),
                  "spectrum": ("", "energy", "points")}
     if kind not in templates:

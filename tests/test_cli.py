@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import traceback
 import warnings
 from pathlib import Path
@@ -268,10 +269,48 @@ def test_values_past_the_float_range_exit_4_by_name(argv, message):
     assert (code, out, err) == (4, "", f"configuration error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--nmax", "5"],
+    ["scaling", "8", "16"],
+    ["prepare", "--target", "6"],
+    ["prepare", "--target", "6", "--format", "csv"],
+])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_an_unwritable_out_exits_4_naming_it(argv, where, tmp_path):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    code, stdout, err = _run_in_process([*argv, "--out", str(out)])
+    assert (code, stdout) == (4, ""), err
+    assert err.startswith(f"configuration error: cannot write --out {out}: "), err
+
+
+def test_a_closed_stdout_exits_4_without_a_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "primecavity", "spectrum", "--nmax", "200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"# manifest: ")
+        proc.stdout.close()  # ~11 MB of rows remain: the next write meets a closed pipe
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 4
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err.startswith("configuration error: cannot write stdout: "), err
+
+
 _ODD_FLOATS = st.one_of(  # the edges of the float range, and any float at all
     st.sampled_from([0.0, 5e-324, 1e-320, 2.3e-308, 1e-300, 1e-3, 1e300, 1e308, float("inf")]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+# --out left unset, an existing directory, or a file under a missing one
+_BAD_OUTS = st.sampled_from([None, "directory", "missing parent"])
+
+
+def _run_with_out(argv, where):
+    # hypothesis refuses function-scoped fixtures, so each example makes its own directory
+    with tempfile.TemporaryDirectory() as tmp:
+        if where is not None:
+            argv = [*argv, f"--out={tmp if where == 'directory' else Path(tmp, 'missing', 'x')}"]
+        code, out, err = _run_in_process(argv)
+    assert where is None or code == 4, (argv, code, err)
+    return code, out, err
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,9 +324,10 @@ _ODD_FLOATS = st.one_of(  # the edges of the float range, and any float at all
     strength=st.one_of(st.just(1e-3), _ODD_FLOATS),
     unit=st.sampled_from(["--hbar", "--omega"]),
     unit_value=st.one_of(st.just(1.0), _ODD_FLOATS),
+    where=_BAD_OUTS,
 )
 def test_scaling_cli_fuzz_exits_0_or_4_without_traceback_or_warning(
-        targets, extra, kappa, mode, model, strength, unit, unit_value):
+        targets, extra, kappa, mode, model, strength, unit, unit_value, where):
     # inputs stay below ~100 MB: targets <= 10**5, --nmax <= 10**6, --kappa <= 10**6
     if mode == "instantaneous":
         # the scan evaluates each decisive level on its grid prefix; at N = 2 and kappa = 1e4
@@ -297,7 +337,7 @@ def test_scaling_cli_fuzz_exits_0_or_4_without_traceback_or_warning(
             f"--kappa={kappa!r}", f"--lambda={strength!r}", f"{unit}={unit_value!r}"]
     if extra is not None:
         argv.append(f"--nmax={max(targets) + 1 + extra}")
-    code, out, err = _run_in_process(argv)
+    code, out, err = _run_with_out(argv, where)
     assert code in (0, 4), (argv, code, err)
     assert "Traceback" not in err and "Warning" not in err, (argv, err)
     if code == 0:  # no inf or nan column: every number past the header is finite
@@ -311,9 +351,9 @@ _INPUT_NAMES = ("target", "nmax", "lambda", "kappa", "coupling-model", "dt", "sh
                 "argument")
 
 
-def _assert_no_invariant_fails(argv):
+def _assert_no_invariant_fails(argv, where=None):
     # no invariant fails on any of these inputs, so exit 1 never occurs
-    code, out, err = _run_in_process(argv)
+    code, out, err = _run_with_out(argv, where)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err and "Warning" not in err, (argv, err)
     if code == 4:
@@ -365,10 +405,11 @@ def test_prepare_cli_fuzz_exits_0_2_3_or_4_by_name(data, odd, mode, model):
     fmt=st.sampled_from(["csv", "json"]),
     unit=st.sampled_from(["--hbar", "--omega"]),
     unit_value=st.one_of(st.just(1.0), _ODD_FLOATS),
+    where=_BAD_OUTS,
 )
-def test_spectrum_cli_fuzz_exits_0_or_4_by_name(nmax, fmt, unit, unit_value):
+def test_spectrum_cli_fuzz_exits_0_or_4_by_name(nmax, fmt, unit, unit_value, where):
     argv = ["spectrum", f"--nmax={nmax}", "--format", fmt, f"{unit}={unit_value!r}"]
-    code, out = _assert_no_invariant_fails(argv)
+    code, out = _assert_no_invariant_fails(argv, where)
     assert code in (0, 4), (argv, code)
     if code == 0 and fmt == "csv":  # no inf or nan energy or gap
         rows = [line.split(",") for line in out.splitlines()[2:]]

@@ -22,7 +22,9 @@ from primecavity import (
 from primecavity.cli import main as run_cli
 from primecavity.experiments import (
     _CSV_BLOCK_ROWS,
+    prepare_csv_lines,
     prepare_report_dict,
+    scaling_csv_lines,
     scaling_study_dict,
     spectrum_csv_lines,
     spectrum_dict,
@@ -178,6 +180,14 @@ def test_scaling_validation():
         run_scaling([1, 8])
     with pytest.raises(ConfigurationError):
         run_scaling([8, 16], n_max=10)
+
+
+@pytest.mark.parametrize("bad", [16.7, "9", True])
+def test_scaling_targets_are_integer_labels(bad):
+    # int() used to truncate: 16.7 swept label 16, and "9" swept label 9
+    with pytest.raises(TypeError, match=repr(bad)):
+        run_scaling([8, bad, 32])
+    assert run_scaling([np.int64(8), 16, 32]).manifest["targets"] == [8, 16, 32]
 
 
 def _synthetic_records(ts):
@@ -345,3 +355,39 @@ def test_gnuplot_script_emission(tmp_path):
     assert "logscale" in gp.read_text()
     with pytest.raises(ConfigurationError):
         write_gnuplot_script(path, "histogram")
+
+
+def test_gnuplot_script_refuses_to_overwrite_its_own_csv(tmp_path):
+    path = tmp_path / "levels.gp"
+    write_scaling_csv(run_scaling([8, 16, 32]), path)
+    before = path.read_bytes()
+    with pytest.raises(ConfigurationError, match="another suffix"):
+        write_gnuplot_script(path, "scaling")
+    assert path.read_bytes() == before
+
+
+_PREPARE_ECHO = (
+    '# manifest: {"schema_version": 1, "command": "prepare", "target": 6, "n_max": 14, '
+    '"coupling_model": "star-uniform", "lambda": 0.001, "kappa": 10.0, "mode": "envelope", '
+    '"shots": 100, "seed": 0, "dt": 0.01, "hbar": 1.0, "omega": 1.0, '
+    '"time_scope": "preparation only; measurement duration not modeled"}\n'
+)
+_SCALING_ECHO = (
+    '# manifest: {"schema_version": 1, "command": "scaling", "targets": [8, 16, 32], '
+    '"n_max": 33, "coupling_model": "star-uniform", "lambda": 0.001, "kappa": 10.0, '
+    '"mode": "envelope", "hbar": 1.0, "omega": 1.0, '
+    '"time_scope": "preparation only; measurement duration not modeled"}\n'
+)
+_SPECTRUM_ECHO = (
+    '# manifest: {"schema_version": 1, "command": "spectrum", "n_max": 6, '
+    '"hbar": 1.3, "omega": 0.7}\n'
+)
+
+
+def test_manifest_lines_are_pinned_key_order_included():
+    # a reordered echo reads the same through json.loads, so compare the text
+    assert next(prepare_csv_lines(run_prepare(6, dt=0.01, shots=100))) == _PREPARE_ECHO
+    assert scaling_csv_lines(run_scaling([32, 8, 16]))[0] == _SCALING_ECHO
+    units = Units(hbar=1.3, omega=0.7)
+    assert next(spectrum_csv_lines(run_spectrum(6, units), spectrum_manifest(6, units))) \
+        == _SPECTRUM_ECHO
