@@ -8,6 +8,7 @@ no clocks). CSV floats use 17 significant digits so re-import is bit-exact.
 """
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -50,13 +51,9 @@ from .units import Units
 
 SCHEMA_VERSION = 1
 
-_FLOAT_FMT = ".17g"
+_FLOAT_FMT = "%.17g"  # 17 significant digits: every float re-imports bit-exactly
 CURVE_POINTS = 9  # drive times at which a prepare report samples the target probability
-_CSV_BLOCK_ROWS = 2048  # level-table rows per string spectrum_csv_lines yields
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT_FMT)
+_CSV_BLOCK_ROWS = 2048  # table rows per string _csv_lines yields
 
 
 def _manifest(command: str, units: Units, config: dict, timed: bool = True) -> dict:
@@ -73,9 +70,15 @@ def _envelope(manifest: dict, **payload) -> dict:
     return {"schema_version": SCHEMA_VERSION, "config": manifest, **payload}
 
 
-def _csv_head(manifest: dict, columns, end: str = "\n") -> list[str]:
-    """The first two lines of a CSV report: the manifest, then the column header ending in end."""
-    return [f"# manifest: {json.dumps(manifest)}\n", ",".join(columns) + end]
+def _csv_lines(manifest: dict, header: str, row: str, rows, end: str = "\n"):
+    """CSV pieces a writer can stream: the manifest line, the header, then row % each tuple
+    of rows, joined _CSV_BLOCK_ROWS at a time (one % over a repeated format string grows its
+    buffer piecewise, which fragments the heap). The header and each row end in end."""
+    yield f"# manifest: {json.dumps(manifest)}\n"
+    yield header + end
+    rows, line = iter(rows), row + end
+    while block := "".join(map(line.__mod__, itertools.islice(rows, _CSV_BLOCK_ROWS))):
+        yield block
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +118,9 @@ def spectrum_manifest(n_max: int, units: Units) -> dict:
 
 
 def spectrum_csv_lines(columns: SpectrumColumns, manifest: dict):
-    """The spectrum CSV in pieces a writer can stream: two header lines, then blocks of rows.
-
-    Each block joins its rows' strings; one % over a repeated format string is
-    a little faster but grows its buffer piecewise, which fragments the heap.
-    """
-    yield from _csv_head(manifest, ("N", "factors", "energy", "gap"))
-    row = f"%d,%s,%{_FLOAT_FMT},%{_FLOAT_FMT}\n"
-    for i in range(0, len(columns.labels), _CSV_BLOCK_ROWS):
-        block = zip(*(column[i : i + _CSV_BLOCK_ROWS] for column in columns))
-        yield "".join(map(row.__mod__, block))
+    """The level table as CSV pieces (_csv_lines)."""
+    return _csv_lines(manifest, "N,factors,energy,gap", f"%d,%s,{_FLOAT_FMT},{_FLOAT_FMT}",
+                      zip(*columns))
 
 
 def spectrum_dict(columns: SpectrumColumns, manifest: dict) -> dict:
@@ -267,13 +263,10 @@ def prepare_report_dict(report: PrepareReport) -> dict:
 
 
 def prepare_csv_lines(report: PrepareReport):
-    """Curve table, drive time against exact and first-order target probability.
-
-    Rows end in CRLF, the line ending of the csv module's default dialect.
-    """
-    yield from _csv_head(report.manifest, ("t", "p_exact", "p_first_order"), end="\r\n")
-    for row in zip(report.curve_times, report.curve_exact, report.curve_first_order):
-        yield ",".join(map(_fmt, row)) + "\r\n"
+    """Drive time against exact and first-order target probability; CRLF ends, as csv's default."""
+    return _csv_lines(report.manifest, "t,p_exact,p_first_order", ",".join([_FLOAT_FMT] * 3),
+                      zip(report.curve_times, report.curve_exact, report.curve_first_order),
+                      end="\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +375,10 @@ def run_scaling(
     return ScalingStudy(records=tuple(records), fit=fit, manifest=manifest)
 
 
-_SCALING_COLUMNS = ["N", "bit_size", "t_disc", "energy", "product", "ratio"]
-
-
 def scaling_csv_lines(study: ScalingStudy) -> list[str]:
-    lines = _csv_head(study.manifest, _SCALING_COLUMNS)
-    for r in study.records:
-        floats = (r.bit_size, r.t_disc, r.energy, r.product, r.ratio)
-        lines.append(",".join([str(r.label), *map(_fmt, floats)]) + "\n")
-    return lines
+    rows = [(r.label, r.bit_size, r.t_disc, r.energy, r.product, r.ratio) for r in study.records]
+    return list(_csv_lines(study.manifest, "N,bit_size,t_disc,energy,product,ratio",
+                           ",".join(["%d", *[_FLOAT_FMT] * 5]), rows))
 
 
 def write_scaling_csv(study: ScalingStudy, path) -> None:
