@@ -2,10 +2,12 @@
 
 Subcommands: spectrum, prepare, scaling, check. Exit codes: 0 success,
 2 readout mismatch, 3 inconclusive readout, 4 configuration error
-(including bad command lines and out-of-memory bases), 1 failed invariant check.
+(including bad command lines, unwritable output, norm drift past tolerance and
+out-of-memory bases), 1 failed invariant check.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -13,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .cavity import COUPLING_MODELS
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PropagationError
 from .experiments import (
     prepare_csv_lines,
     prepare_report_dict,
@@ -131,6 +133,15 @@ def _output(args, as_dict, csv_lines, *result) -> None:
         fh.writelines(lines)
 
 
+def _refuse_unwritable(out: Path) -> None:
+    """Raise before the run the OSError that writing out would raise after it: out is a
+    directory, or the directory it names is missing."""
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    if not out.absolute().parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+
+
 def _cmd_spectrum(args) -> int:
     units = _units(args)
     columns = run_spectrum(args.nmax, units)
@@ -194,6 +205,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         try:
+            if getattr(args, "out", None) is not None:
+                _refuse_unwritable(args.out)
             return args.func(args)
         except MemoryError:
             size = args.nmax  # else the default basis size its runner derives
@@ -205,7 +218,7 @@ def main(argv=None) -> int:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             where = "stdout" if getattr(args, "out", None) is None else f"--out {args.out}"
             raise ConfigurationError(f"cannot write {where}: {exc}") from None
-    except (ConfigurationError, ValueError, OverflowError) as exc:
+    except (ConfigurationError, PropagationError, ValueError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4
 

@@ -102,25 +102,28 @@ def step_grid(t_final: float, dt: float, frequency: float) -> tuple[float, int]:
 
 def _stage_table(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
     """(P, stages) for Lawson steps of length h (_lawson_steps): P = exp(-i E h / 2hbar),
-    and stages(starts) stacks the 4x4 stage matrices A_k of the steps from each time in starts."""
+    and stages(starts) stacks the 4x4 stage matrices A_k of the steps from each time in starts.
+
+    An entry of degree d is c x^(d-2k) s^k (-i)^d/6, with x = h/hbar and s = x^2 (w.w) or
+    x^2 (w.(P col)): the gate keeps x times every energy small, where h^3 or 1/hbar^4 overflow."""
     w, col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
-    p = np.exp((-0.5j * h / basis.units.hbar) * np.asarray(basis.energy_vector, dtype=float))
-    s_ww, s_wpw = complex(np.vdot(w, w)), complex(w @ (p * col))
-    q, h2, h3 = h / 6.0, h * h / 2.0, h**3 / 4.0
+    x = h / basis.units.hbar
+    p = np.exp((-0.5j * x) * np.asarray(basis.energy_vector, dtype=float))
+    s_ww, s_wpw = (x * (x * complex(s)) for s in (np.vdot(w, w), w @ (p * col)))
     # A_k[row, column] = sum of table[monomial, row, column] * monomial: row is
     # a1, a2 + a3, a4 or the e0 sum of b; column is the unit input g
     table = np.zeros((9, 4, 4), dtype=complex)
     for monomial, row, column, value in [
-        (0, 0, 3, 1), (0, 3, 0, 1), (1, 1, 3, 4), (1, 3, 1, 4),  # c1, c2
-        (2, 2, 3, 1), (2, 3, 2, 1), (3, 1, 0, h), (3, 3, 3, h * s_wpw),  # c3, c1 c2
-        (4, 1, 1, h), (4, 3, 3, h * s_ww), (5, 2, 1, h), (5, 3, 3, h * s_wpw),  # c2^2, c2 c3
-        (6, 1, 3, h2 * s_wpw), (6, 3, 0, h2 * s_ww),  # c1 c2^2
-        (7, 2, 3, h2 * s_ww), (7, 3, 1, h2 * s_wpw),  # c2^2 c3
-        (8, 2, 0, h3 * s_ww), (8, 3, 3, h3 * s_wpw**2),  # c1 c2^2 c3
+        (0, 0, 3, x), (0, 3, 0, x), (1, 1, 3, 4 * x), (1, 3, 1, 4 * x),  # c1, c2
+        (2, 2, 3, x), (2, 3, 2, x), (3, 1, 0, x * x), (3, 3, 3, s_wpw),  # c3, c1 c2
+        (4, 1, 1, x * x), (4, 3, 3, s_ww), (5, 2, 1, x * x), (5, 3, 3, s_wpw),  # c2^2, c2 c3
+        (6, 1, 3, x * s_wpw / 2), (6, 3, 0, x * s_ww / 2),  # c1 c2^2
+        (7, 2, 3, x * s_ww / 2), (7, 3, 1, x * s_wpw / 2),  # c2^2 c3
+        (8, 2, 0, x * (x * s_ww) / 4), (8, 3, 3, s_wpw**2 / 4),  # c1 c2^2 c3
     ]:
         table[monomial, row, column] = value
     degree = np.array([1, 1, 1, 2, 2, 2, 3, 3, 4])
-    table = (q * (-1j / basis.units.hbar) ** degree[:, None, None] * table).reshape(9, 16)
+    table = ((-1j) ** degree[:, None, None] / 6 * table).reshape(9, 16)
 
     def stages(starts: np.ndarray) -> np.ndarray:
         c1, c2, c3 = (np.cos(frequency * t) for t in (starts, starts + 0.5 * h, starts + h))
@@ -261,7 +264,9 @@ def propagate(
     One step shorter than h ends the run at t_final. Samples: t = 0,
     multiples of sample_stride*h more than h/2 before t_final, and t_final.
     A dt past the step gate is a ConfigurationError naming the maximum
-    admissible dt; sampled norm drift past NORM_TOLERANCE is a PropagationError.
+    admissible dt, and so is a coupling whose w.w overflows; a psi0 whose norm is
+    off 1 by more than NORM_TOLERANCE is a ValueError, and sampled norm drift
+    past it (NaN included) a PropagationError.
     """
     h, per_period = step_grid(t_final, dt, drive.frequency)  # rejects a bad t_final or dt
     x = np.array(psi0, dtype=complex)  # a copy: the run steps it in place
@@ -270,6 +275,13 @@ def propagate(
                          f"size (got state {x.shape}, coupling {coupling.n_max})")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
+    norm = float(np.linalg.norm(x))
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
+        raise ValueError(f"psi0 norm {norm:.12f} is not 1 within {NORM_TOLERANCE:g}")
+    # the kernel sums w.w, which must stay finite (vdot warns of no overflow)
+    if not math.isfinite(np.vdot(coupling.vacuum_row, coupling.vacuum_row).real):
+        raise ConfigurationError(f"lambda={coupling.strength:g} is too large for "
+                                 f"{coupling.n_max} levels: the coupling's w.w overflows")
 
     if t_final == 0:
         return Trajectory(times=np.array([0.0]), states=x[None, :])
@@ -356,7 +368,7 @@ def propagate(
     trajectory = Trajectory(times=np.array([0.0, *(s * h for s in samples), t_final]),
                             states=states)
     drift = trajectory.norm_drift
-    if drift > NORM_TOLERANCE:
+    if not drift <= NORM_TOLERANCE:  # a NaN drift fails too
         raise PropagationError(
             f"norm drift {drift:.3e} exceeds tolerance {NORM_TOLERANCE:g}; reduce dt below {h:.3e}"
         )
@@ -366,7 +378,7 @@ def propagate(
 def occupation_probabilities(psi: np.ndarray) -> np.ndarray:
     """Born weights |c_N|^2 by position N-1; requires a normalized state."""
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_TOLERANCE:
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
         raise ValueError(f"state norm {norm:.12f} is not 1 within {NORM_TOLERANCE:g}")
     return np.abs(psi) ** 2
 

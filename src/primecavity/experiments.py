@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -204,11 +205,6 @@ def run_prepare(
             f"|<1|W|{target}>| <= {lam_max:.3g}"
         )
 
-    # the integrator sums w.w, which must stay finite (vdot warns of no overflow)
-    if not math.isfinite(np.vdot(coupling.vacuum_row, coupling.vacuum_row).real):
-        raise ConfigurationError(f"lambda={strength:g} is too large for {n_max} levels: "
-                                 f"the coupling's w.w overflows")
-
     if dt is None:
         dt = max_stable_dt(basis, coupling) / 2.0
 
@@ -351,6 +347,9 @@ def run_scaling(
     records = []
     for n, t_disc in zip(targets, _discrimination_times(targets, basis, coupling, kappa, mode)):
         energy = float(basis.energy_vector[n - 1])
+        if energy < sys.float_info.min:  # E_2 = hbar*omega*log(2) with hbar*omega below min/log(2)
+            raise ConfigurationError(f"hbar={units.hbar:g} and omega={units.omega:g} put the "
+                                     f"energy of target {n} below the smallest normal float")
         product = t_disc * energy
         ratio = product / (units.hbar * n * math.log(n))
         if not (math.isfinite(product) and math.isfinite(ratio)):

@@ -46,6 +46,21 @@ def test_build_basis_rejects_tiny():
         build_basis(1)
 
 
+@pytest.mark.parametrize("hbar, omega", [(1e-300, 1e-300), (1e-160, 1e-160), (1e-154, 1e-154),
+                                         (2.3e-308, 0.5), (sys.float_info.min, 0.999)])
+def test_units_reject_a_subnormal_energy_scale_naming_both(hbar, omega):
+    # each is a normal float; their product is subnormal or zero, and every energy with it
+    with pytest.raises(ValueError, match=f"^hbar={hbar:g} and omega={omega:g} are too small: "
+                                         r"hbar\*omega=.* is below the smallest normal float$"):
+        Units(hbar=hbar, omega=omega)
+
+
+@pytest.mark.parametrize("hbar, omega", [(sys.float_info.min, 1.0), (1e-154, 1e-154 * 2.3),
+                                         (1e-300, 1e300), (1e300, 1e-300)])
+def test_units_accept_a_normal_energy_scale(hbar, omega):
+    assert Units(hbar=hbar, omega=omega).energy_scale >= sys.float_info.min
+
+
 def test_build_basis_rejects_an_energy_scale_whose_level_energy_overflows():
     with pytest.raises(ValueError, match=r"hbar\*omega=inf is too large: the energy of level 10"):
         build_basis(10, Units(hbar=1e300, omega=1e300))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import primecavity.experiments
-from primecavity import cli, factorize
+from primecavity import PropagationError, cli, factorize
 from primecavity.experiments import _CSV_BLOCK_ROWS, PrepareReport
 
 
@@ -283,6 +283,66 @@ def test_an_unwritable_out_exits_4_naming_it(argv, where, tmp_path):
     assert err.startswith(f"configuration error: cannot write --out {out}: "), err
 
 
+@pytest.mark.parametrize("argv,runner", [
+    (["spectrum", "--nmax", "5", "--gnuplot-script"], "run_spectrum"),
+    (["scaling", "8", "16", "32", "--gnuplot-script"], "run_scaling"),
+    (["prepare", "--target", "6"], "run_prepare"),
+    (["prepare", "--target", "6", "--format", "csv"], "run_prepare"),
+])
+@pytest.mark.parametrize("where", ["directory", "missing parent", "file parent"])
+def test_an_unwritable_out_is_refused_before_the_run(argv, runner, where, tmp_path, monkeypatch):
+    # the run used to go first, and a directory --out then left a new plot script beside it
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{runner} ran")
+
+    monkeypatch.setattr(cli, runner, unreachable)
+    (tmp_path / "plain").write_text("")
+    out = {"directory": tmp_path / "dd", "missing parent": tmp_path / "missing" / "x.csv",
+           "file parent": tmp_path / "plain" / "x.csv"}[where]
+    if where == "directory":
+        out.mkdir()
+    code, stdout, err = _run_in_process([*argv, "--out", str(out)])
+    assert (code, stdout) == (4, ""), err
+    assert err.startswith(f"configuration error: cannot write --out {out}: "), err
+    left = {"plain", "dd"} if where == "directory" else {"plain"}  # no plot script
+    assert {p.name for p in tmp_path.iterdir()} == left
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "8", "16", "32", "--hbar", "1e-300", "--omega", "1e-300"],
+    ["spectrum", "--nmax", "4", "--hbar", "1e-160", "--omega", "1e-160"],
+])
+def test_a_subnormal_hbar_omega_exits_4_naming_both(argv):
+    # each flag is normal; the product is not, and the run printed zero or subnormal energies
+    code, out, err = _run_in_process(argv)
+    assert (code, out) == (4, ""), err
+    assert err.startswith(f"configuration error: hbar={argv[-3]} and omega={argv[-1]} are too "
+                          f"small: hbar*omega="), err
+    assert err.endswith(" is below the smallest normal float\n"), err
+
+
+@pytest.mark.parametrize("hbar,omega", [("1e150", "1e-150"), ("1e-80", "1e80")])
+def test_prepare_in_rescaled_units_matches_natural_units(hbar, omega):
+    # the stage table overflowed at both: an OverflowError exit 4, and NaN states
+    code, out, err = _run_in_process(["prepare", "--target", "6", "--hbar", hbar,
+                                      "--omega", omega])
+    base_code, base_out, _ = _run_in_process(["prepare", "--target", "6"])
+    assert (code, err) == (base_code, "") == (0, "")
+    results, base = json.loads(out)["results"], json.loads(base_out)["results"]
+    assert results["counts"] == base["counts"] and results["readout"] == base["readout"]
+    for curve in ("curve_exact", "curve_first_order"):
+        assert results[curve] == pytest.approx(base[curve], rel=1e-12, abs=0)
+
+
+def test_a_propagation_error_exits_4_with_its_message(monkeypatch):
+    def drifting(**kwargs):
+        raise PropagationError("norm drift 2.000e-09 exceeds tolerance 1e-09; reduce dt below 1")
+
+    monkeypatch.setattr(cli, "run_prepare", drifting)
+    assert _run_in_process(["prepare", "--target", "6"]) == (4, "", (
+        "configuration error: norm drift 2.000e-09 exceeds tolerance 1e-09; reduce dt below 1\n"))
+
+
 def test_a_closed_stdout_exits_4_without_a_traceback():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     argv = [sys.executable, "-m", "primecavity", "spectrum", "--nmax", "200000"]
@@ -299,8 +359,23 @@ _ODD_FLOATS = st.one_of(  # the edges of the float range, and any float at all
     st.sampled_from([0.0, 5e-324, 1e-320, 2.3e-308, 1e-300, 1e-3, 1e300, 1e308, float("inf")]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-# --out left unset, an existing directory, or a file under a missing one
-_BAD_OUTS = st.sampled_from([None, "directory", "missing parent"])
+# --hbar and --omega together: reciprocal pairs far from 1 (hbar*omega = 1, the physics of
+# natural units), and pairs whose product is zero, subnormal or around the smallest normal
+_UNIT_PAIRS = st.one_of(
+    st.sampled_from([(10.0**k, 10.0**-k) for k in (80, -80, 150, -150, 300, -300)]
+                    + [(1e-160, 1e-160), (1e-200, 1e-200), (1e-300, 1e-300)]),
+    st.tuples(st.floats(1e-300, 1e-8), st.floats(0.0, 2.0)).map(
+        lambda a: (a[0], a[1] * sys.float_info.min / a[0])),
+)
+# one unit flag from anywhere with the other left at 1, or both as a pair
+_UNIT_FLAGS = st.one_of(
+    st.builds(lambda flag, value: [f"{flag}={value!r}"], st.sampled_from(["--hbar", "--omega"]),
+              st.one_of(st.just(1.0), _ODD_FLOATS)),
+    _UNIT_PAIRS.map(lambda pair: [f"--hbar={pair[0]!r}", f"--omega={pair[1]!r}"]),
+)
+# --out left unset (half the draws: a bad --out now ends the run before it starts), an
+# existing directory, or a file under a missing one
+_BAD_OUTS = st.one_of(st.none(), st.sampled_from(["directory", "missing parent"]))
 
 
 def _run_with_out(argv, where):
@@ -322,32 +397,34 @@ def _run_with_out(argv, where):
     mode=st.sampled_from(["envelope", "instantaneous"]),
     model=st.sampled_from(["star-uniform", "star-decay"]),
     strength=st.one_of(st.just(1e-3), _ODD_FLOATS),
-    unit=st.sampled_from(["--hbar", "--omega"]),
-    unit_value=st.one_of(st.just(1.0), _ODD_FLOATS),
+    units=_UNIT_FLAGS,
     where=_BAD_OUTS,
 )
 def test_scaling_cli_fuzz_exits_0_or_4_without_traceback_or_warning(
-        targets, extra, kappa, mode, model, strength, unit, unit_value, where):
+        targets, extra, kappa, mode, model, strength, units, where):
     # inputs stay below ~100 MB: targets <= 10**5, --nmax <= 10**6, --kappa <= 10**6
     if mode == "instantaneous":
         # the scan evaluates each decisive level on its grid prefix; at N = 2 and kappa = 1e4
         # that is every level, ~2 s at --nmax 10**6 (kappa = 1e6 waits for a work bound)
         kappa = min(kappa, 1e4)
     argv = ["scaling", *map(str, targets), "--mode", mode, "--coupling-model", model,
-            f"--kappa={kappa!r}", f"--lambda={strength!r}", f"{unit}={unit_value!r}"]
+            f"--kappa={kappa!r}", f"--lambda={strength!r}", *units]
     if extra is not None:
         argv.append(f"--nmax={max(targets) + 1 + extra}")
     code, out, err = _run_with_out(argv, where)
     assert code in (0, 4), (argv, code, err)
     assert "Traceback" not in err and "Warning" not in err, (argv, err)
     if code == 0:  # no inf or nan column: every number past the header is finite
-        rows = [line.split(",") for line in out.splitlines()[2:]]
-        assert rows and all(math.isfinite(float(x)) for row in rows for x in row), (argv, out)
+        rows = [list(map(float, line.split(","))) for line in out.splitlines()[2:]]
+        assert rows and all(math.isfinite(x) for row in rows for x in row), (argv, out)
+        # what the README promises of every record: a normal positive energy, a ratio above 1
+        assert all(row[3] >= sys.float_info.min and row[5] > 1 for row in rows), (argv, out)
 
 
-# an exit-4 message names the input it rejects: a flag, or one of these words
+# an exit-4 message names the input it rejects: a flag, or one of these words ("--out", as
+# a bare "out" would match "Numerical result out of range")
 _INPUT_NAMES = ("target", "nmax", "lambda", "kappa", "coupling-model", "dt", "shots", "seed",
-                "mode", "out", "format", "hbar", "omega", "n_max", "coupling", "levels",
+                "mode", "--out", "format", "hbar", "omega", "n_max", "coupling", "levels",
                 "argument")
 
 
@@ -385,12 +462,17 @@ _PREPARE_VALUES = {  # flag: (values it admits, values of its type from anywhere
     odd=st.sets(st.sampled_from([*_PREPARE_VALUES, "nmax"]), max_size=2),
     mode=st.sampled_from(["envelope", "instantaneous"]),
     model=st.sampled_from(["star-uniform", "star-decay"]),
+    pair=st.one_of(st.none(), _UNIT_PAIRS),
 )
-def test_prepare_cli_fuzz_exits_0_2_3_or_4_by_name(data, odd, mode, model):
-    # at most two flags take a value from anywhere; the rest stay admissible
+def test_prepare_cli_fuzz_exits_0_2_3_or_4_by_name(data, odd, mode, model, pair):
+    # at most two flags take a value from anywhere; the rest stay admissible, but for
+    # --hbar and --omega, which may instead come as a pair
     values = {flag: data.draw(strategies[flag in odd], label=flag)
               for flag, strategies in _PREPARE_VALUES.items()}
-    if "omega" in odd and "dt" not in odd:  # a set dt steps ~2*pi/(omega*log(N)*dt) a period
+    if pair is not None:
+        values["hbar"], values["omega"] = pair
+    # a set dt steps ~2*pi/(omega*log(N)*dt) a period
+    if ("omega" in odd or pair is not None) and "dt" not in odd:
         values["dt"] = None
     values["nmax"] = data.draw(st.integers(-5, 250) if "nmax" in odd else st.one_of(
         st.none(), st.integers(2 * max(values["target"], 2), 250)), label="nmax")
@@ -399,22 +481,25 @@ def test_prepare_cli_fuzz_exits_0_2_3_or_4_by_name(data, odd, mode, model):
     _assert_no_invariant_fails(argv)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     nmax=st.integers(-5, 5000),
     fmt=st.sampled_from(["csv", "json"]),
-    unit=st.sampled_from(["--hbar", "--omega"]),
-    unit_value=st.one_of(st.just(1.0), _ODD_FLOATS),
+    units=_UNIT_FLAGS,
     where=_BAD_OUTS,
 )
-def test_spectrum_cli_fuzz_exits_0_or_4_by_name(nmax, fmt, unit, unit_value, where):
-    argv = ["spectrum", f"--nmax={nmax}", "--format", fmt, f"{unit}={unit_value!r}"]
+def test_spectrum_cli_fuzz_exits_0_or_4_by_name(nmax, fmt, units, where):
+    argv = ["spectrum", f"--nmax={nmax}", "--format", fmt, *units]
     code, out = _assert_no_invariant_fails(argv, where)
     assert code in (0, 4), (argv, code)
-    if code == 0 and fmt == "csv":  # no inf or nan energy or gap
-        rows = [line.split(",") for line in out.splitlines()[2:]]
-        assert len(rows) == nmax and all(
-            math.isfinite(float(x)) for row in rows for x in row[2:]), argv
+    if code == 0:  # no inf or nan energy or gap
+        if fmt == "csv":
+            rows = [list(map(float, line.split(",")[2:])) for line in out.splitlines()[2:]]
+        else:
+            rows = [[row["energy"], row["gap"]] for row in json.loads(out)["rows"]]
+        assert len(rows) == nmax and all(math.isfinite(x) for row in rows for x in row), argv
+        # a normal hbar*omega: E_N = hbar*omega*log(N) is normal from N = 3 on
+        assert all(row[0] >= sys.float_info.min for row in rows[2:]), argv
 
 
 @pytest.mark.parametrize("nmax", [-5, 0, 1, 2, 16])

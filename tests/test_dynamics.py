@@ -329,6 +329,57 @@ def test_norm_drift_past_the_tolerance_raises_naming_dt(monkeypatch):
         propagate(vacuum_state(basis), basis, coupling, drive, 20.0, 1e-3)
 
 
+def test_a_nan_norm_drift_raises(monkeypatch):
+    # NaN compares False both ways: a drift check written as drift > tol let it through
+    monkeypatch.setattr(primecavity.dynamics.Trajectory, "norm_drift", math.nan)
+    basis, coupling, drive = _uniform_setup(8, 3, 1e-3)
+    with pytest.raises(PropagationError, match=r"norm drift nan exceeds tolerance"):
+        propagate(vacuum_state(basis), basis, coupling, drive, 2.0, 1e-3)
+
+
+@pytest.mark.parametrize("t_final", [0.0, 2.0])
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8, math.nan])
+def test_propagate_rejects_a_psi0_off_unit_norm_before_the_run(t_final, scale):
+    # a norm-2 start used to run to the end, then blame dt; at t_final = 0 it came back
+    basis, coupling, drive = _uniform_setup(8, 3, 1e-3)
+    with pytest.raises(ValueError, match=r"psi0 norm .* is not 1 within 1e-09"):
+        propagate(scale * vacuum_state(basis), basis, coupling, drive, t_final, 1e-3)
+
+
+def test_propagate_accepts_a_psi0_within_the_norm_tolerance():
+    basis, coupling, drive = _uniform_setup(8, 3, 1e-3)
+    run = propagate((1 + 5e-10) * vacuum_state(basis), basis, coupling, drive, 0.0, 1e-3)
+    assert run.final[0] == 1 + 5e-10
+
+
+@pytest.mark.parametrize("t_final", [0.0, 2.0])
+def test_propagate_refuses_a_coupling_whose_ww_overflows(t_final):
+    # a direct caller's row: the guard used to live in run_prepare only, and propagate
+    # returned a non-finite state with norm drift nan
+    row = np.full(8, 1e200)
+    row[0] = 0.0
+    coupling = CouplingOperator("star-uniform", 0.0, vacuum_row=row)
+    basis, _, drive = _uniform_setup(8, 3, 1e-3)
+    with pytest.raises(ConfigurationError,
+                       match=r"^lambda=0 is too large for 8 levels: the coupling's w.w overflows$"):
+        propagate(vacuum_state(basis), basis, coupling, drive, t_final, 1e-3)
+
+
+@pytest.mark.parametrize("hbar, omega", [(1e-80, 1e80), (1e150, 1e-150)])
+def test_run_prepare_is_invariant_under_units_with_the_same_hbar_omega(hbar, omega):
+    # the physics reads hbar and omega only through hbar*omega and omega*t; the stage
+    # table used to carry h**3 (OverflowError) and hbar**-4 (inf, then NaN states)
+    base = run_prepare(6)
+    scaled = run_prepare(6, units=Units(hbar=hbar, omega=omega))
+    assert scaled.counts == base.counts and scaled.status == base.status == "pass"
+    assert scaled.t_disc * omega == pytest.approx(base.t_disc, rel=1e-12)
+    np.testing.assert_allclose(np.multiply(scaled.curve_times, omega), base.curve_times,
+                               rtol=1e-12)
+    for curve in ("curve_exact", "curve_first_order"):
+        np.testing.assert_allclose(getattr(scaled, curve), getattr(base, curve), rtol=1e-12)
+    assert scaled.norm_drift <= 1e-11
+
+
 def _tracer_sample_count(times, stride):
     # the count bench/tracing.py asserts: samples at k*h for k = stride,
     # 2*stride, ... before t_final, plus the final state

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -180,6 +181,15 @@ def test_scaling_validation():
         run_scaling([1, 8])
     with pytest.raises(ConfigurationError):
         run_scaling([8, 16], n_max=10)
+
+
+def test_scaling_refuses_a_subnormal_target_energy():
+    # hbar*omega is normal, but E_2 = hbar*omega*log(2) is not: it printed 1.59e-308
+    units = Units(hbar=2.3e-308)
+    with pytest.raises(ConfigurationError, match="^hbar=2.3e-308 and omega=1 put the energy "
+                                                 "of target 2 below the smallest normal float$"):
+        run_scaling([2, 3], units=units)
+    assert run_scaling([3, 4], units=units).records[0].energy >= sys.float_info.min
 
 
 @pytest.mark.parametrize("bad", [16.7, "9", True])
