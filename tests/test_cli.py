@@ -270,32 +270,19 @@ def test_values_past_the_float_range_exit_4_by_name(argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--nmax", "5"],
-    ["scaling", "8", "16"],
+    ["spectrum", "--nmax", "5", "--gnuplot-script"],
+    ["scaling", "8", "16", "--gnuplot-script"],
     ["prepare", "--target", "6"],
     ["prepare", "--target", "6", "--format", "csv"],
 ])
-@pytest.mark.parametrize("where", ["directory", "missing parent"])
-def test_an_unwritable_out_exits_4_naming_it(argv, where, tmp_path):
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
-    code, stdout, err = _run_in_process([*argv, "--out", str(out)])
-    assert (code, stdout) == (4, ""), err
-    assert err.startswith(f"configuration error: cannot write --out {out}: "), err
-
-
-@pytest.mark.parametrize("argv,runner", [
-    (["spectrum", "--nmax", "5", "--gnuplot-script"], "run_spectrum"),
-    (["scaling", "8", "16", "32", "--gnuplot-script"], "run_scaling"),
-    (["prepare", "--target", "6"], "run_prepare"),
-    (["prepare", "--target", "6", "--format", "csv"], "run_prepare"),
-])
 @pytest.mark.parametrize("where", ["directory", "missing parent", "file parent"])
-def test_an_unwritable_out_is_refused_before_the_run(argv, runner, where, tmp_path, monkeypatch):
-    # the run used to go first, and a directory --out then left a new plot script beside it
+def test_an_unwritable_out_exits_4_naming_it(argv, where, tmp_path, monkeypatch):
+    # refused before the run: the run used to go first, and a directory --out then left a
+    # new plot script beside it
     def unreachable(*args, **kwargs):
-        raise AssertionError(f"{runner} ran")
+        raise AssertionError(f"{argv[0]} ran")
 
-    monkeypatch.setattr(cli, runner, unreachable)
+    monkeypatch.setattr(cli, f"run_{argv[0]}", unreachable)
     (tmp_path / "plain").write_text("")
     out = {"directory": tmp_path / "dd", "missing parent": tmp_path / "missing" / "x.csv",
            "file parent": tmp_path / "plain" / "x.csv"}[where]
@@ -373,7 +360,7 @@ _UNIT_FLAGS = st.one_of(
               st.one_of(st.just(1.0), _ODD_FLOATS)),
     _UNIT_PAIRS.map(lambda pair: [f"--hbar={pair[0]!r}", f"--omega={pair[1]!r}"]),
 )
-# --out left unset (half the draws: a bad --out now ends the run before it starts), an
+# --out left unset (half the draws, since a bad --out ends the example before the run), an
 # existing directory, or a file under a missing one
 _BAD_OUTS = st.one_of(st.none(), st.sampled_from(["directory", "missing parent"]))
 
