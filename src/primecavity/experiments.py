@@ -8,7 +8,6 @@ no clocks). CSV floats use 17 significant digits so re-import is bit-exact.
 """
 
 import functools
-import itertools
 import json
 import math
 import sys
@@ -52,9 +51,101 @@ from .units import Units
 
 SCHEMA_VERSION = 1
 
-_FLOAT_FMT = "%.17g"  # 17 significant digits: every float re-imports bit-exactly
 CURVE_POINTS = 9  # drive times at which a prepare report samples the target probability
 _CSV_BLOCK_ROWS = 2048  # table rows per string _csv_lines yields
+# _format_17g's vector path takes v in [1e-250, 1e250]: there Dekker's split of v and of
+# 10**(16 - e) (up to ~1e267) neither overflows nor loses bits to underflow
+_VECTOR_RANGE = (1e-250, 1e250)
+_TIE_MARGIN = 1e-9  # >> the 1e-14 error of p + r: past it, r rounds as the exact sum does
+_VECTOR_MIN = 256  # "%.17g" per value is faster below ~190 values a call (measured)
+
+
+@functools.cache
+def _format_tables():
+    """_format_17g's tables, built on first use: 10**(16 - e) as a double-double and the
+    exponent suffix (sign, three digits) for e = -251..250, the digits and trailing zeros of
+    0..9999, the row head, and the layouts. A row holds 32 code points: ".", NUL, "e", "0",
+    "000" and the 17 digits (4-23), the suffix (24-27) and the end (28-29); a layout lists
+    the row positions of one string, padded with NUL to 25, the longest string.
+    """
+    hi, lo, suffix = [], [], []
+    for e in range(-251, 251):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        h = num / den  # int true division rounds correctly, and so does lo's
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+        suffix.append(list(map(ord, f"{'-' if e < 0 else '+'}{abs(e):03d}")))
+    quads = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    zeros = np.where(quads.any(axis=1), np.argmax(quads[:, ::-1] != 0, axis=1), 4)
+    layouts = []
+    for e in range(-4, 17):  # fixed notation: -e leading zeros, or the point after digit e
+        s, q = 7 + min(e, 0), max(e, 0)
+        layouts += [[0 if c == q + 1 else c + s - (c > q) for c in range(end)]
+                    for end in range(24)]
+    for kept in range(1, 18):  # exponent notation, three- or two-digit exponent
+        mantissa = [7, 0, *range(8, 7 + kept)] if kept > 1 else [7]
+        layouts += [mantissa + [2, 24, 25, 26, 27], mantissa + [2, 24, 26, 27]]
+    units = np.concatenate([[[46, 0, 101, 48]], suffix, quads + 48]).astype(np.uint32)
+    units = units.view(np.complex128).ravel()  # an element moves four code points at once
+    return (np.array(hi), np.array(lo), units[0], units[1:503], units[503:], zeros,
+            np.array([row + [28, 29] + [1] * (23 - len(row)) for row in layouts]))
+
+
+def _format_17g(values, end: str = "") -> list[str]:
+    """["%.17g" % v + end for v in values] for float64 values, exactly.
+
+    Vector path, for v in _VECTOR_RANGE: e = floor(log10(v)), (hi, lo) is 10**(16 - e) as a
+    double-double, Dekker's split gives v*hi = p + err exactly, and r = err + v*lo, so
+    |v*10**(16 - e) - (p + r)| < 1e-14. p >= 1e16 > 2**53 is an integer, and d = p + round(r)
+    is the 17-digit significand. "%.17g" per value takes the rest: zero, negatives,
+    subnormals, inf and nan, |v| outside the range, r within _TIE_MARGIN of a half (ties
+    and near-ties), and d not strictly inside (10**16, 10**17) (a wrong e, or a carry).
+    Each string, fixed for -4 <= e < 17 without trailing zeros or a bare point and d.ddde+XX
+    otherwise, is one gather from a row of code points; end may have two characters there.
+    """
+    fmt, n = "%.17g" + end, len(values)
+    if n < _VECTOR_MIN or len(end) > 2:
+        return list(map(fmt.__mod__, values))
+    values = np.asarray(values, dtype=float)
+    if n > _CSV_BLOCK_ROWS:  # a block at a time: larger temporaries cost more than they save
+        return [s for i in range(0, n, _CSV_BLOCK_ROWS)
+                for s in _format_17g(values[i : i + _CSV_BLOCK_ROWS], end)]
+    hi_t, lo_t, head, suffix, quad_t, zeros_t, layouts = _format_tables()
+    slow = ~((values >= _VECTOR_RANGE[0]) & (values <= _VECTOR_RANGE[1]))
+    v = np.where(slow, 1.5, values)  # any value in the range: the reference path redoes it
+    e = np.floor(np.log10(v)).astype(np.intp)
+    hi, lo = hi_t[e + 251], lo_t[e + 251]
+    pair = np.stack([v, hi])
+    c = pair * 134217729.0  # 2**27 + 1: Dekker's split into halves of at most 26 bits
+    vh, hh = upper = c - (c - pair)
+    vl, hl = pair - upper
+    p = v * hi
+    r = (((vh * hh - p) + vh * hl + vl * hh) + vl * hl) + v * lo
+    rounded = np.rint(r)
+    d = p.astype(np.int64) + rounded.astype(np.int64)
+    slow |= (np.abs(r - rounded) > 0.5 - _TIE_MARGIN) | (d <= 10**16) | (d >= 10**17)
+    d[slow] = 10**16 + 1
+    high, low = np.divmod(d, 10**8)
+    quads = np.empty((n, 5), np.intp)  # the first digit, then four digits at a time
+    quads[:, 0], high = np.divmod(high, 10**8)
+    quads[:, 1::2], quads[:, 2::2] = np.divmod(np.stack([high, low], axis=1), 10**4)
+    row = np.empty((n, 8), np.complex128)
+    row[:, 0], row[:, 1:6], row[:, 6] = head, quad_t[quads], suffix[e + 251]
+    row[:, 7] = np.array([*map(ord, end), 0, 0, 0, 0][:4], np.uint32).view(np.complex128)
+    zeros = zeros_t[quads]
+    for i in (3, 2, 1):  # trailing zeros of the 16 low digits, four at a time
+        zeros[:, 4] += (zeros[:, 4] == 4 * (4 - i)) * zeros[:, i]
+    kept, q = 17 - zeros[:, 4], np.maximum(e, 0)
+    chars = np.maximum(kept - np.minimum(e, 0), q + 1)
+    layout = np.where((e >= -4) & (e < 17), (e + 4) * 24 + chars + (chars > q + 1),
+                      504 + 2 * kept - 2 + (np.abs(e) < 100))
+    index = np.take(layouts, layout, axis=0)
+    index += 32 * np.arange(n)[:, None]
+    strings = np.take(row.view(np.uint32), index).view("U25").ravel().tolist()
+    for i in np.flatnonzero(slow).tolist():
+        strings[i] = fmt % values[i]
+    return strings
 
 
 def _manifest(command: str, units: Units, config: dict, timed: bool = True) -> dict:
@@ -71,15 +162,38 @@ def _envelope(manifest: dict, **payload) -> dict:
     return {"schema_version": SCHEMA_VERSION, "config": manifest, **payload}
 
 
-def _csv_lines(manifest: dict, header: str, row: str, rows, end: str = "\n"):
-    """CSV pieces a writer can stream: the manifest line, the header, then row % each tuple
-    of rows, joined _CSV_BLOCK_ROWS at a time (one % over a repeated format string grows its
-    buffer piecewise, which fragments the heap). The header and each row end in end."""
+def _csv_lines(manifest: dict, header: str, columns, end: str = "\n"):
+    """CSV pieces a writer can stream: the manifest line, the header, then the rows of the
+    equal-length columns, _CSV_BLOCK_ROWS rows a piece. The header and each row end in end.
+
+    Float cells render as "%.17g", strings as they are, and ints as "%d". A block of at least
+    _VECTOR_MIN rows goes column by column: floats through _format_17g, each separator
+    folded into the cell before it or, after a string, a piece of its own, and the pieces
+    laid out row by row by slice assignment for one join. A shorter block, which
+    _format_17g would format value by value anyway, is one % per row.
+    """
     yield f"# manifest: {json.dumps(manifest)}\n"
     yield header + end
-    rows, line = iter(rows), row + end
-    while block := "".join(map(line.__mod__, itertools.islice(rows, _CSV_BLOCK_ROWS))):
-        yield block
+    seps = [","] * (len(columns) - 1) + [end]
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
+        kinds = ["%.17g" if isinstance(cells[0], float)  # a float64 array's cells are floats
+                 else "%s" if isinstance(cells[0], str) else "%d" for cells in block]
+        if len(block[0]) < _VECTOR_MIN:
+            yield "".join(map((",".join(kinds) + end).__mod__, zip(*block)))
+            continue
+        pieces = []
+        for cells, kind, sep in zip(block, kinds, seps):
+            if kind == "%.17g":
+                pieces.append(_format_17g(cells, sep))
+            elif kind == "%s":
+                pieces += [cells, [sep] * len(cells)]
+            else:
+                pieces.append([f"{n}{sep}" for n in cells])
+        text = [""] * (len(pieces) * len(pieces[0]))
+        for j, cells in enumerate(pieces):  # row-major: cell j of each row
+            text[j :: len(pieces)] = cells
+        yield "".join(text)
 
 
 # ---------------------------------------------------------------------------
@@ -87,31 +201,39 @@ def _csv_lines(manifest: dict, header: str, row: str, rows, end: str = "\n"):
 
 
 class SpectrumColumns(NamedTuple):
-    """The level table as equal-length columns; position n - 1 holds label n."""
+    """The level table as equal-length columns; position n - 1 holds label n.
+
+    energies (the basis's energy_vector itself) and gaps are read-only float64 arrays.
+    """
 
     labels: range
     factors: list[str]
-    energies: list[float]
-    gaps: list[float]
+    energies: np.ndarray
+    gaps: np.ndarray
 
 
 def run_spectrum(n_max: int, units: Units = Units()) -> SpectrumColumns:
     """Label, factorization string, E_N and the gap to the next level, per level.
 
     Factorizations come from one smallest-prime-factor table; the gap is
-    upper_gap's expression, so every entry matches the per-label functions.
-    The strings come first, so a label past the sieve's int32 range is refused
-    before the basis allocates.
+    upper_gap's expression (IEEE division and product, and math.log1p, which np.log1p
+    rounds apart from at some labels), so every entry matches the per-label functions.
+    The smallest gap, label n_max's, must be a normal float, which makes every printed
+    float but E_1 = 0 normal (E_N >= E_2 = gap(1) >= gap(n_max)). That check and the
+    strings come first, so a subnormal gap and a label past the sieve's int32 range are
+    refused before the basis allocates.
     """
+    scale = units.energy_scale
+    if _as_label(n_max) >= 2 and scale * math.log1p(1.0 / n_max) < sys.float_info.min:
+        raise ConfigurationError(f"hbar={units.hbar:g} and omega={units.omega:g} put the gap "
+                                 f"of label {n_max} below the smallest normal float")
     factors = occupation_strings(n_max)
     basis = build_basis(n_max, units)
-    scale = units.energy_scale
-    return SpectrumColumns(
-        labels=basis.labels,
-        factors=factors,
-        energies=basis.energy_vector.tolist(),
-        gaps=[scale * math.log1p(1.0 / n) for n in basis.labels],
-    )
+    inverse = (1.0 / np.arange(1, n_max + 1)).tolist()
+    gaps = scale * np.fromiter(map(math.log1p, inverse), float, n_max)
+    gaps.setflags(write=False)
+    return SpectrumColumns(labels=basis.labels, factors=factors,
+                           energies=basis.energy_vector, gaps=gaps)
 
 
 def spectrum_manifest(n_max: int, units: Units) -> dict:
@@ -120,12 +242,13 @@ def spectrum_manifest(n_max: int, units: Units) -> dict:
 
 def spectrum_csv_lines(columns: SpectrumColumns, manifest: dict):
     """The level table as CSV pieces (_csv_lines)."""
-    return _csv_lines(manifest, "N,factors,energy,gap", f"%d,%s,{_FLOAT_FMT},{_FLOAT_FMT}",
-                      zip(*columns))
+    return _csv_lines(manifest, "N,factors,energy,gap", columns)
 
 
 def spectrum_dict(columns: SpectrumColumns, manifest: dict) -> dict:
-    rows = [{"N": n, "factors": f, "energy": e, "gap": g} for n, f, e, g in zip(*columns)]
+    labels, factors, energies, gaps = columns
+    rows = [{"N": n, "factors": f, "energy": e, "gap": g}
+            for n, f, e, g in zip(labels, factors, energies.tolist(), gaps.tolist())]
     return _envelope(manifest, rows=rows)
 
 
@@ -260,8 +383,8 @@ def prepare_report_dict(report: PrepareReport) -> dict:
 
 def prepare_csv_lines(report: PrepareReport):
     """Drive time against exact and first-order target probability; CRLF ends, as csv's default."""
-    return _csv_lines(report.manifest, "t,p_exact,p_first_order", ",".join([_FLOAT_FMT] * 3),
-                      zip(report.curve_times, report.curve_exact, report.curve_first_order),
+    return _csv_lines(report.manifest, "t,p_exact,p_first_order",
+                      [report.curve_times, report.curve_exact, report.curve_first_order],
                       end="\r\n")
 
 
@@ -377,7 +500,7 @@ def run_scaling(
 def scaling_csv_lines(study: ScalingStudy) -> list[str]:
     rows = [(r.label, r.bit_size, r.t_disc, r.energy, r.product, r.ratio) for r in study.records]
     return list(_csv_lines(study.manifest, "N,bit_size,t_disc,energy,product,ratio",
-                           ",".join(["%d", *[_FLOAT_FMT] * 5]), rows))
+                           list(zip(*rows))))
 
 
 def write_scaling_csv(study: ScalingStudy, path) -> None:

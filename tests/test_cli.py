@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import primecavity.experiments
@@ -263,6 +263,9 @@ def _run_in_process(argv):
     # log(14)*1.7e308 is past the float range: the basis rejects it before any coupling
     (["prepare", "--omega", "1.7e308", "--target", "6"],
      "hbar*omega=1.7e+308 is too large: the energy of level 14 overflows"),
+    # the last gap, 1e-305*log1p(1/5000), printed as a subnormal 1.9998000266626687e-309
+    (["spectrum", "--nmax", "5000", "--hbar", "1e-305"],
+     "hbar=1e-305 and omega=1 put the gap of label 5000 below the smallest normal float"),
 ])
 def test_values_past_the_float_range_exit_4_by_name(argv, message):
     code, out, err = _run_in_process(argv)
@@ -375,6 +378,19 @@ def _run_with_out(argv, where):
     return code, out, err
 
 
+def _scaling_example(targets, units=(), strength=1e-3, model="star-uniform", mode="envelope"):
+    return example(targets=targets, extra=None, kappa=10.0, mode=mode, model=model,
+                   strength=strength, units=list(units), where=None)
+
+
+# boundary inputs every run tries: a reverted level-energy overflow check (E_16 = inf) or
+# hbar*omega check (a table under exit 0) fails on the first two; then the subnormal product,
+# a subnormal coupling entry, and a w_M/Delta_M that underflows
+@_scaling_example([8, 16], ["--hbar=1e308"])
+@_scaling_example([8, 16, 32], ["--hbar=1e-08", "--omega=2.2e-300"])
+@_scaling_example([8, 16, 32], ["--hbar=1e-300", "--omega=1e-300"])
+@_scaling_example([8, 16, 1000], strength=1e-320, model="star-decay")
+@_scaling_example([2, 3, 4], ["--omega=1e300"], strength=2.3e-308)
 @settings(max_examples=150, deadline=None)
 @given(
     targets=st.one_of(st.lists(st.integers(2, 10**5), min_size=1, max_size=4),
@@ -406,6 +422,8 @@ def test_scaling_cli_fuzz_exits_0_or_4_without_traceback_or_warning(
         assert rows and all(math.isfinite(x) for row in rows for x in row), (argv, out)
         # what the README promises of every record: a normal positive energy, a ratio above 1
         assert all(row[3] >= sys.float_info.min and row[5] > 1 for row in rows), (argv, out)
+        manifest = json.loads(out.splitlines()[0].removeprefix("# manifest: "))
+        assert manifest["hbar"] * manifest["omega"] >= sys.float_info.min, argv  # normal units
 
 
 # an exit-4 message names the input it rejects: a flag, or one of these words ("--out", as
@@ -443,6 +461,22 @@ _PREPARE_VALUES = {  # flag: (values it admits, values of its type from anywhere
 }
 
 
+# st.data() takes no @example: the boundary draws that each reverted input fix fails on,
+# w.w overflowing, a subnormal coupling entry, --shots past int64, the stage table at
+# rescaled units, and the level-energy overflow
+@pytest.mark.parametrize("argv", [
+    ["prepare", "--target=8", "--hbar=1e300", "--lambda=1e290"],
+    ["prepare", "--target=6", "--lambda=2.3e-308", "--hbar=1e-300", "--coupling-model",
+     "star-decay"],
+    ["prepare", "--target=6", f"--shots={2**63}"],
+    ["prepare", "--target=6", "--hbar=1e150", "--omega=1e-150"],
+    ["prepare", "--target=6", "--hbar=1e-80", "--omega=1e80"],
+    ["prepare", "--target=6", "--omega=1.7e308"],
+])
+def test_prepare_cli_fuzz_boundary_draws(argv):
+    _assert_no_invariant_fails(argv)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -468,6 +502,11 @@ def test_prepare_cli_fuzz_exits_0_2_3_or_4_by_name(data, odd, mode, model, pair)
     _assert_no_invariant_fails(argv)
 
 
+# the gap of label 5000 is subnormal, E_40 overflows, and hbar*omega is 1e-320
+@example(nmax=5000, fmt="csv", units=["--hbar=1e-305"], where=None)
+@example(nmax=5000, fmt="json", units=["--hbar=1e-305"], where=None)
+@example(nmax=40, fmt="csv", units=["--hbar=1e308"], where=None)
+@example(nmax=4, fmt="json", units=["--hbar=1e-160", "--omega=1e-160"], where=None)
 @settings(max_examples=60, deadline=None)
 @given(
     nmax=st.integers(-5, 5000),
@@ -487,6 +526,7 @@ def test_spectrum_cli_fuzz_exits_0_or_4_by_name(nmax, fmt, units, where):
         assert len(rows) == nmax and all(math.isfinite(x) for row in rows for x in row), argv
         # a normal hbar*omega: E_N = hbar*omega*log(N) is normal from N = 3 on
         assert all(row[0] >= sys.float_info.min for row in rows[2:]), argv
+        assert all(row[1] >= sys.float_info.min for row in rows), argv  # and so is every gap
 
 
 @pytest.mark.parametrize("nmax", [-5, 0, 1, 2, 16])

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import primecavity.experiments
 from primecavity import (
@@ -23,6 +25,8 @@ from primecavity import (
 from primecavity.cli import main as run_cli
 from primecavity.experiments import (
     _CSV_BLOCK_ROWS,
+    _VECTOR_MIN,
+    _format_17g,
     prepare_csv_lines,
     prepare_report_dict,
     scaling_csv_lines,
@@ -73,16 +77,16 @@ def test_spectrum_rows_match_per_label_construction():
     table = run_spectrum(3000, units)
     assert list(table.labels) == list(basis.labels)
     assert table.factors == [format_occupation(factorize(n)) for n in basis.labels]
-    assert table.energies == basis.energy_vector.tolist()
+    assert table.energies.tolist() == basis.energy_vector.tolist()
     for n, energy in zip(basis.labels, table.energies):
         assert abs(energy - level_energy(n, units)) <= math.ulp(level_energy(n, units))
-    assert table.gaps == [upper_gap(n, units) for n in basis.labels]
+    assert table.gaps.tolist() == [upper_gap(n, units) for n in basis.labels]
 
 
 def test_scaling_and_spectrum_print_the_same_energy():
     # np.log and math.log round apart at some labels (9170 and 19143 among these)
     study = run_scaling(list(range(2, 20001)))
-    assert [r.energy for r in study.records] == run_spectrum(20001).energies[1:20000]
+    assert [r.energy for r in study.records] == run_spectrum(20001).energies[1:20000].tolist()
 
 
 def test_spectrum_csv_floats_reimport_bit_exactly():
@@ -112,13 +116,81 @@ def test_spectrum_json_rows_equal_csv_rows():
 @pytest.mark.parametrize("n_max", [2, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
                                    _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 1])
 def test_spectrum_csv_blocks_equal_per_row_formatting(n_max):
-    units = Units(hbar=1.3, omega=0.7)
-    table = run_spectrum(n_max, units)
-    manifest = spectrum_manifest(n_max, units)
-    pieces = list(spectrum_csv_lines(table, manifest))
-    assert pieces[:2] == [f"# manifest: {json.dumps(manifest)}\n", "N,factors,energy,gap\n"]
-    assert len(pieces) == 2 + math.ceil(n_max / _CSV_BLOCK_ROWS)
-    assert "".join(pieces[2:]) == "".join("%d,%s,%.17g,%.17g\n" % r for r in zip(*table))
+    # the last two unit systems put every float but E_1 outside _format_17g's vector range
+    for hbar, omega in [(1.3, 0.7), (1e-290, 1.0), (1e300, 10.0)]:
+        units = Units(hbar=hbar, omega=omega)
+        table = run_spectrum(n_max, units)
+        manifest = spectrum_manifest(n_max, units)
+        pieces = list(spectrum_csv_lines(table, manifest))
+        assert pieces[:2] == [f"# manifest: {json.dumps(manifest)}\n", "N,factors,energy,gap\n"]
+        assert len(pieces) == 2 + math.ceil(n_max / _CSV_BLOCK_ROWS)
+        assert "".join(pieces[2:]) == "".join("%d,%s,%.17g,%.17g\n" % r for r in zip(*table))
+
+
+def _percent_17g(values, end=""):
+    return ["%.17g" % v + end for v in np.asarray(values, dtype=float).tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.sampled_from([1, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1, _CSV_BLOCK_ROWS,
+                          3 * _CSV_BLOCK_ROWS]),
+    seed=st.integers(0, 2**32 - 1),
+    decimal=st.booleans(),
+    drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+    end=st.sampled_from(["", ",", "\n", "\r\n"]),
+)
+def test_format_17g_equals_percent_17g_on_any_float64(size, seed, decimal, drawn, end):
+    # random bit patterns (every exponent, nan, inf and subnormals among them) or signed
+    # log-uniform decimals, with drawn floats (+-0, the float extremes) mixed in
+    rng = np.random.default_rng(seed)
+    if decimal:
+        values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+    else:
+        values = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    values[rng.integers(0, size, len(drawn))] = drawn
+    assert _format_17g(values, end) == _percent_17g(values, end)
+
+
+def test_format_17g_equals_percent_17g_on_a_million_patterns_and_the_edge_cases():
+    rng = np.random.default_rng(20261020)
+    # every bit pattern between those of 1e-250 and 1e250 is equally likely: the vector range
+    patterns = rng.integers(*np.array([1e-250, 1e250]).view(np.int64), 10**6, endpoint=True)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # a tie at 17 digits, x*10**(16 - e) = n + 1/2, is m*2**-j with m odd and m*5**j in
+    # [1e17, 1e18): the 1e15 + k/4 family (j = 2), and j = 24, 25 below 1e-6, where
+    # 10**(16 - e) is no double and r carries rounding error
+    edges = [m * 2.0**-j for j in range(2, 26) for m in range(1, 2**53, 2)[:4001]
+             if 10**17 <= m * 5**j < 10**18]
+    edges += [(2**52 + 2 * k + 1) / 4 for k in range(4000)]
+    # near-ties: x*10**k = n + 1/2 + c/2**b exactly (m*5**k = 2**(b-1) + c mod 2**b, with
+    # m < 2**53), which r, within 1e-14 of it, may put on either side of the half
+    for k in range(21, 60):
+        for b in range(40, 53):
+            for c in (-2, -1, 1, 2):
+                m = (2 ** (b - 1) + c) * pow(5**k, -1, 2**b) % 2**b
+                m += 2**b * -(-(2**52 - m) // 2**b)  # the first such m from 2**52
+                if m < 2**53 and 10**16 <= m * 5**k // 2**b < 10**17:
+                    edges.append(m / 2 ** (b + k))
+    for values in (patterns.view(np.float64), np.concatenate([
+            np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf), edges])):
+        assert _format_17g(values) == _percent_17g(values)
+
+
+def test_spectrum_refuses_a_subnormal_gap_before_building_anything(monkeypatch):
+    # gap(5000) = 1e-305*log1p(1/5000) printed as 1.9998000266626687e-309 under exit 0
+    def unreachable(*args):
+        raise AssertionError("the table was built before the gap was checked")
+
+    units = Units(hbar=1e-305)
+    assert run_spectrum(400, units).gaps[-1] >= sys.float_info.min
+    with pytest.raises(ValueError, match="labels start at 1"):  # not a division by zero
+        run_spectrum(0, units)
+    monkeypatch.setattr(primecavity.experiments, "occupation_strings", unreachable)
+    monkeypatch.setattr(primecavity.experiments, "build_basis", unreachable)
+    with pytest.raises(ConfigurationError, match="^hbar=1e-305 and omega=1 put the gap of "
+                                                 "label 5000 below the smallest normal float$"):
+        run_spectrum(5000, units)
 
 
 def test_spectrum_refuses_a_label_past_the_sieve_before_building_the_basis(monkeypatch):
