@@ -30,6 +30,7 @@ from .experiments import (
     spectrum_manifest,
     write_gnuplot_script,
 )
+from .perturbation import DISCRIMINATION_MODES
 from .units import Units
 
 _STATUS_EXIT = {"pass": 0, "mismatch": 2, "inconclusive": 3}
@@ -43,13 +44,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _add_unit_flags(sub):
-    sub.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
-    sub.add_argument("--omega", type=float, default=1.0, help="base mode frequency (default 1)")
-
-
 def _units(args) -> Units:
     return Units(hbar=args.hbar, omega=args.omega)
+
+
+def _physics(args) -> dict:
+    """The shared physics flags as run_prepare and run_scaling keywords."""
+    return dict(strength=args.strength, kappa=args.kappa, model=args.coupling_model,
+                mode=args.mode, units=_units(args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,48 +63,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="dump the level table (N, factors, energy, gap)")
+    # the flags several subcommands share, each declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
+    common.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
+    common.add_argument("--omega", type=float, default=1.0, help="base mode frequency (default 1)")
+    physics = argparse.ArgumentParser(add_help=False)
+    physics.add_argument("--lambda", dest="strength", type=float, default=1e-3, help=_LAMBDA_HELP)
+    physics.add_argument("--kappa", type=float, default=10.0,
+                         help="required dominance ratio over competitors (default 10)")
+    physics.add_argument("--coupling-model", choices=COUPLING_MODELS, default="star-uniform")
+    physics.add_argument("--mode", choices=DISCRIMINATION_MODES, default="envelope",
+                         help="discrimination-time criterion")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    table.add_argument("--gnuplot-script", action="store_true",
+                       help="write a plot script next to the CSV --out")
+
+    sp = sub.add_parser("spectrum", parents=[common, table],
+                        help="dump the level table (N, factors, energy, gap)")
     sp.add_argument("--nmax", type=int, default=32, help="largest level label")
-    sp.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--gnuplot-script", action="store_true",
-                    help="write a plot script next to the CSV")
-    _add_unit_flags(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
-    pr = sub.add_parser("prepare", help="drive one target level and read out its factorization")
+    pr = sub.add_parser("prepare", parents=[common, physics],
+                        help="drive one target level and read out its factorization")
     pr.add_argument("--target", type=int, required=True, help="integer to factorize")
     pr.add_argument("--nmax", type=int, default=None,
                     help="basis size (default 2*target+2; must be >= 2*target)")
-    pr.add_argument("--lambda", dest="strength", type=float, default=1e-3, help=_LAMBDA_HELP)
-    pr.add_argument("--kappa", type=float, default=10.0,
-                    help="required dominance ratio over competitors (default 10)")
-    pr.add_argument("--coupling-model", choices=COUPLING_MODELS, default="star-uniform")
     pr.add_argument("--dt", type=float, default=None,
                     help="integrator step (default: half the step gate)")
     pr.add_argument("--shots", type=int, default=10_000)
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--mode", choices=("envelope", "instantaneous"), default="envelope",
-                    help="discrimination-time criterion")
-    pr.add_argument("--out", type=Path, default=None)
     pr.add_argument("--format", choices=("json", "csv"), default="json",
                     help="json report, or csv of the probability curves")
-    _add_unit_flags(pr)
     pr.set_defaults(func=_cmd_prepare)
 
-    sc = sub.add_parser("scaling", help="discrimination-time sweep with log-log fit")
+    sc = sub.add_parser("scaling", parents=[common, physics, table],
+                        help="discrimination-time sweep with log-log fit")
     sc.add_argument("targets", type=int, nargs="*", default=[8, 16, 32, 64, 128],
                     help="levels to sweep (default 8 16 32 64 128)")
-    sc.add_argument("--kappa", type=float, default=10.0)
-    sc.add_argument("--mode", choices=("envelope", "instantaneous"), default="envelope")
-    sc.add_argument("--coupling-model", choices=COUPLING_MODELS, default="star-uniform")
-    sc.add_argument("--lambda", dest="strength", type=float, default=1e-3, help=_LAMBDA_HELP)
     sc.add_argument("--nmax", type=int, default=None,
                     help="basis size (default: largest target + 1)")
-    sc.add_argument("--out", type=Path, default=None)
-    sc.add_argument("--format", choices=("csv", "json"), default="csv")
-    sc.add_argument("--gnuplot-script", action="store_true")
-    _add_unit_flags(sc)
     sc.set_defaults(func=_cmd_scaling)
 
     ck = sub.add_parser("check", help="run the invariant battery")
@@ -127,15 +128,23 @@ def _output(args, as_dict, csv_lines, *result) -> None:
         sys.stdout.writelines(lines)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter shutdown
         return
-    if args.format == "csv" and getattr(args, "gnuplot_script", False):
+    if getattr(args, "gnuplot_script", False):  # a CSV --out: _refuse_unwritable saw to it
         write_gnuplot_script(args.out, args.command)
     with open(args.out, "w", newline="") as fh:
         fh.writelines(lines)
 
 
-def _refuse_unwritable(out: Path) -> None:
-    """Raise before the run the OSError that writing out would raise after it: out is a
-    directory, or the directory it names is missing."""
+def _refuse_unwritable(args) -> None:
+    """Refuse before the run an output that cannot be written: a CSV prepare or a plot
+    script with nowhere to go, then the OSError that writing --out would raise after the
+    run (--out is a directory, or the directory it names is missing)."""
+    out = getattr(args, "out", None)
+    if args.command == "prepare" and args.format == "csv" and out is None:
+        raise ConfigurationError("--format csv for prepare needs --out")
+    if getattr(args, "gnuplot_script", False) and (args.format != "csv" or out is None):
+        raise ConfigurationError("--gnuplot-script needs --format csv and --out")
+    if out is None:
+        return
     if out.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
     if not out.absolute().parent.is_dir():
@@ -150,20 +159,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    if args.format == "csv" and args.out is None:
-        raise ConfigurationError("--format csv for prepare needs --out")
-    report = run_prepare(
-        target=args.target,
-        n_max=args.nmax,
-        strength=args.strength,
-        kappa=args.kappa,
-        model=args.coupling_model,
-        shots=args.shots,
-        seed=args.seed,
-        dt=args.dt,
-        mode=args.mode,
-        units=_units(args),
-    )
+    report = run_prepare(target=args.target, n_max=args.nmax, shots=args.shots,
+                         seed=args.seed, dt=args.dt, **_physics(args))
     _output(args, prepare_report_dict, prepare_csv_lines, report)
     if report.status != "pass":
         print(f"readout status: {report.status}", file=sys.stderr)
@@ -171,15 +168,7 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    study = run_scaling(
-        targets=args.targets,
-        kappa=args.kappa,
-        mode=args.mode,
-        model=args.coupling_model,
-        strength=args.strength,
-        units=_units(args),
-        n_max=args.nmax,
-    )
+    study = run_scaling(targets=args.targets, n_max=args.nmax, **_physics(args))
     _output(args, scaling_study_dict, scaling_csv_lines, study)
     return 0
 
@@ -205,8 +194,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         try:
-            if getattr(args, "out", None) is not None:
-                _refuse_unwritable(args.out)
+            _refuse_unwritable(args)
             return args.func(args)
         except MemoryError:
             size = args.nmax  # else the default basis size its runner derives

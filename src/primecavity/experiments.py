@@ -39,6 +39,7 @@ from .encoding import (
     factorize,
     format_occupation,
     occupation_strings,
+    upper_gap,
 )
 from .errors import ConfigurationError
 from .perturbation import (
@@ -57,7 +58,7 @@ _CSV_BLOCK_ROWS = 2048  # table rows per string _csv_lines yields
 # 10**(16 - e) (up to ~1e267) neither overflows nor loses bits to underflow
 _VECTOR_RANGE = (1e-250, 1e250)
 _TIE_MARGIN = 1e-9  # >> the 1e-14 error of p + r: past it, r rounds as the exact sum does
-_VECTOR_MIN = 256  # "%.17g" per value is faster below ~190 values a call (measured)
+_VECTOR_MIN = 256  # _csv_lines formats a shorter block per row: faster below ~190 (measured)
 
 
 @functools.cache
@@ -102,15 +103,10 @@ def _format_17g(values, end: str = "") -> list[str]:
     subnormals, inf and nan, |v| outside the range, r within _TIE_MARGIN of a half (ties
     and near-ties), and d not strictly inside (10**16, 10**17) (a wrong e, or a carry).
     Each string, fixed for -4 <= e < 17 without trailing zeros or a bare point and d.ddde+XX
-    otherwise, is one gather from a row of code points; end may have two characters there.
+    otherwise, is one gather from a row of code points; end has at most two characters.
+    _csv_lines calls it with one block, _VECTOR_MIN to _CSV_BLOCK_ROWS values.
     """
-    fmt, n = "%.17g" + end, len(values)
-    if n < _VECTOR_MIN or len(end) > 2:
-        return list(map(fmt.__mod__, values))
-    values = np.asarray(values, dtype=float)
-    if n > _CSV_BLOCK_ROWS:  # a block at a time: larger temporaries cost more than they save
-        return [s for i in range(0, n, _CSV_BLOCK_ROWS)
-                for s in _format_17g(values[i : i + _CSV_BLOCK_ROWS], end)]
+    fmt, n, values = "%.17g" + end, len(values), np.asarray(values, dtype=float)
     hi_t, lo_t, head, suffix, quad_t, zeros_t, layouts = _format_tables()
     slow = ~((values >= _VECTOR_RANGE[0]) & (values <= _VECTOR_RANGE[1]))
     v = np.where(slow, 1.5, values)  # any value in the range: the reference path redoes it
@@ -169,8 +165,8 @@ def _csv_lines(manifest: dict, header: str, columns, end: str = "\n"):
     Float cells render as "%.17g", strings as they are, and ints as "%d". A block of at least
     _VECTOR_MIN rows goes column by column: floats through _format_17g, each separator
     folded into the cell before it or, after a string, a piece of its own, and the pieces
-    laid out row by row by slice assignment for one join. A shorter block, which
-    _format_17g would format value by value anyway, is one % per row.
+    laid out row by row by slice assignment for one join. A shorter block, where "%.17g"
+    per value is the faster, is one % per row.
     """
     yield f"# manifest: {json.dumps(manifest)}\n"
     yield header + end
@@ -223,14 +219,13 @@ def run_spectrum(n_max: int, units: Units = Units()) -> SpectrumColumns:
     strings come first, so a subnormal gap and a label past the sieve's int32 range are
     refused before the basis allocates.
     """
-    scale = units.energy_scale
-    if _as_label(n_max) >= 2 and scale * math.log1p(1.0 / n_max) < sys.float_info.min:
+    if _as_label(n_max) >= 2 and upper_gap(n_max, units) < sys.float_info.min:
         raise ConfigurationError(f"hbar={units.hbar:g} and omega={units.omega:g} put the gap "
                                  f"of label {n_max} below the smallest normal float")
     factors = occupation_strings(n_max)
     basis = build_basis(n_max, units)
     inverse = (1.0 / np.arange(1, n_max + 1)).tolist()
-    gaps = scale * np.fromiter(map(math.log1p, inverse), float, n_max)
+    gaps = units.energy_scale * np.fromiter(map(math.log1p, inverse), float, n_max)
     gaps.setflags(write=False)
     return SpectrumColumns(labels=basis.labels, factors=factors,
                            energies=basis.energy_vector, gaps=gaps)

@@ -27,6 +27,7 @@ from .errors import ConfigurationError
 from .units import Units
 
 FIRST_ORDER_LIMIT = 0.1
+DISCRIMINATION_MODES = ("envelope", "instantaneous")  # discrimination_time's criteria
 
 # grid resolution for the instantaneous-mode scan: the nearest-neighbor beat
 # period must be resolved
@@ -150,7 +151,7 @@ def _discrimination_times(targets, basis, coupling, kappa, mode) -> list[float]:
     """discrimination_time of each target, from one windowed search and one batched scan."""
     if not (math.isfinite(kappa) and kappa >= 1):
         raise ValueError(f"kappa must be finite and >= 1 (got {kappa})")
-    if mode not in ("envelope", "instantaneous"):
+    if mode not in DISCRIMINATION_MODES:
         raise ConfigurationError(f"unknown discrimination mode {mode!r}")
     n_max, units = basis.n_max, basis.units
     for target in targets:

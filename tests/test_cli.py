@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -65,6 +66,42 @@ def test_gnuplot_script_may_not_overwrite_its_csv(argv, tmp_path, capsys):
     assert run_cli(argv + ["--out", str(link), "--gnuplot-script"]) == 4
     assert "--out" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--nmax", "3", "--gnuplot-script"],  # the CSV goes to stdout
+    ["spectrum", "--nmax", "3", "--format", "json", "--out", "s.json", "--gnuplot-script"],
+    ["scaling", "8", "16", "32", "--format", "json", "--out", "s.json", "--gnuplot-script"],
+])
+def test_a_gnuplot_script_with_no_csv_file_to_plot_exits_4_before_the_run(
+        argv, tmp_path, monkeypatch):
+    # these used to exit 0 and write no plot script
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} ran")
+
+    monkeypatch.setattr(cli, f"run_{argv[0]}", unreachable)
+    monkeypatch.chdir(tmp_path)
+    assert _run_in_process(argv) == (
+        4, "", "configuration error: --gnuplot-script needs --format csv and --out\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_flag_two_subcommands_share_means_the_same_on_each():
+    # --nmax and --format are declared per command: their defaults differ by command
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    seen = {}
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for option in set(action.option_strings) - {"--nmax", "--format"}:
+                seen.setdefault(option, {})[command] = (
+                    type(action), action.dest, action.type, action.default, action.choices,
+                    action.help)
+    shared = {option: by for option, by in seen.items() if len(by) > 1}
+    assert set(shared) == {"-h", "--help", "--out", "--hbar", "--omega", "--lambda",
+                           "--kappa", "--coupling-model", "--mode", "--gnuplot-script"}
+    for option, by in shared.items():
+        assert len(set(by.values())) == 1, (option, by)
 
 
 def test_spectrum_json(tmp_path):

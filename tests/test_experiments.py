@@ -174,7 +174,29 @@ def test_format_17g_equals_percent_17g_on_a_million_patterns_and_the_edge_cases(
                     edges.append(m / 2 ** (b + k))
     for values in (patterns.view(np.float64), np.concatenate([
             np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf), edges])):
-        assert _format_17g(values) == _percent_17g(values)
+        for start in range(0, len(values), _CSV_BLOCK_ROWS):  # one table block a call
+            block = values[start : start + _CSV_BLOCK_ROWS]
+            assert _format_17g(block) == _percent_17g(block)
+
+
+def test_format_17g_gets_one_block_of_vector_min_to_block_rows_values(monkeypatch, tmp_path):
+    # _csv_lines alone decides the block size and the short-table path: _format_17g has
+    # no fallback for a short column, a long one or a long end
+    calls = []
+
+    def spy(values, end=""):
+        calls.append((len(values), end))
+        return _format_17g(values, end)
+
+    monkeypatch.setattr(primecavity.experiments, "_format_17g", spy)
+    for n_max in (2, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                  3 * _CSV_BLOCK_ROWS + 1):
+        assert run_cli(["spectrum", "--nmax", str(n_max)]) == 0
+    assert run_cli(["scaling"]) == 0
+    assert run_cli(["prepare", "--target", "6", "--lambda", "0.0138", "--shots", "200",
+                    "--format", "csv", "--out", str(tmp_path / "p.csv")]) == 0
+    assert len(calls) == 12  # energy and gap of each spectrum block of _VECTOR_MIN+ rows
+    assert all(_VECTOR_MIN <= n <= _CSV_BLOCK_ROWS and len(end) <= 2 for n, end in calls)
 
 
 def test_spectrum_refuses_a_subnormal_gap_before_building_anything(monkeypatch):
