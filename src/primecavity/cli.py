@@ -17,6 +17,7 @@ from . import __version__
 from .cavity import COUPLING_MODELS
 from .errors import ConfigurationError, PropagationError
 from .experiments import (
+    gnuplot_script_path,
     prepare_csv_lines,
     prepare_report_dict,
     run_invariant_checks,
@@ -118,7 +119,7 @@ def _output(args, as_dict, csv_lines, *result) -> None:
 
     as_dict(*result) is the JSON object, csv_lines(*result) the CSV text in pieces,
     written as they come. A CSV file gets a plot script under --gnuplot-script,
-    written first: write_gnuplot_script refuses a CSV that is its own script path.
+    written after it, so a CSV write that fails leaves no script.
     """
     if args.format == "json":
         lines = [json.dumps(as_dict(*result), indent=2), "\n"]
@@ -128,16 +129,17 @@ def _output(args, as_dict, csv_lines, *result) -> None:
         sys.stdout.writelines(lines)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter shutdown
         return
-    if getattr(args, "gnuplot_script", False):  # a CSV --out: _refuse_unwritable saw to it
-        write_gnuplot_script(args.out, args.command)
     with open(args.out, "w", newline="") as fh:
         fh.writelines(lines)
+    if getattr(args, "gnuplot_script", False):  # a CSV --out: _refuse_unwritable saw to it
+        write_gnuplot_script(args.out, args.command)
 
 
 def _refuse_unwritable(args) -> None:
     """Refuse before the run an output that cannot be written: a CSV prepare or a plot
     script with nowhere to go, then the OSError that writing --out would raise after the
-    run (--out is a directory, or the directory it names is missing)."""
+    run (--out is a directory, or the directory it names is missing), then a CSV --out
+    that is its own plot script path."""
     out = getattr(args, "out", None)
     if args.command == "prepare" and args.format == "csv" and out is None:
         raise ConfigurationError("--format csv for prepare needs --out")
@@ -149,6 +151,8 @@ def _refuse_unwritable(args) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
     if not out.absolute().parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+    if getattr(args, "gnuplot_script", False):
+        gnuplot_script_path(out)
 
 
 def _cmd_spectrum(args) -> int:

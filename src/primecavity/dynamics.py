@@ -100,13 +100,40 @@ def step_grid(t_final: float, dt: float, frequency: float) -> tuple[float, int]:
     return period / steps, steps
 
 
-def _stage_table(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
-    """(P, stages) for Lawson steps of length h (_lawson_steps): P = exp(-i E h / 2hbar),
-    and stages(starts) stacks the 4x4 stage matrices A_k of the steps from each time in starts.
+def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
+    """(stages, chunks, run, powers) for Lawson RK4 steps of length h.
 
-    An entry of degree d is c x^(d-2k) s^k (-i)^d/6, with x = h/hbar and s = x^2 (w.w) or
-    x^2 (w.(P col)): the gate keeps x times every energy small, where h^3 or 1/hbar^4 overflow."""
+    stages(starts) stacks the 4x4 stage matrices A_k of the steps from each
+    time in starts; chunks(a) fuses each _CHUNK consecutive ones into a chunk
+    matrix; run(x, table) takes the steps (4x4) or chunks of a table in order;
+    powers stacks P^0 .. P^2J, and a j-step update scales x by F^j = powers[2j].
+
+    With N(t, y) = -i cos(Omega t) W y / hbar, P = exp(-i E h / 2hbar), F = P^2:
+      k1 = N(t, x)              k2 = N(t + h/2, P (x + h/2 k1))
+      k3 = N(t + h/2, P x + h/2 k2)   k4 = N(t + h, F x + h P k3)
+      x' = F x + h/6 (F k1 + 2 P (k2 + k3) + k4)
+    The star W y = y[0] col + (w.y) e0 (col = conj(w), w[0] = 0) makes each
+    k_j = a_j col + b_j e0, linear in g = (w.x, w.(P x), w.(F x), x[0]) since
+    P[0] = F[0] = 1 (zero vacuum energy). So x' = F x + S (A_k G x) with G the
+    4-row gather, S = [F col, P col, col, e0], and A_k the stage formulas on
+    unit inputs g: polynomials in the drive samples cos(Omega t) at t, t + h/2
+    and t + h, so nine monomials times a constant 9 x 16 table. An entry of
+    degree d is c x^(d-2k) s^k (-i)^d/6, with x = h/hbar and s = x^2 (w.w) or
+    x^2 (w.(P col)): the gate keeps x times every energy small, where h^3 or
+    1/hbar^4 overflow.
+
+    J = _CHUNK steps are one exact update x <- F^J x + S_J (T (H_J x)). The
+    gathers G F^i (i < J) hold 2J + 2 distinct rows, w P^k (k <= 2J) and e0,
+    stacked in H_J; the spreads F^i S hold col P^k (S_J, k falling) and e0,
+    last in both. T is built by doubling from T = A_k for one step: with lo
+    and hi the rows of H_2m with k <= 2m and with k >= 2m, each with e0, an
+    m-step chunk T_a followed by T_b is T[lo, lo] = T_a, T[hi, hi] += T_b,
+    T[hi, lo] += T_b Phi_m T_a, Phi_m = H_m S_m. A single step is the same kernel
+    on rows 0..2 and e0 of H_J and the last 4 columns of S_J. x is n x m, a state
+    (m = 1) or a basis (m = r); run overwrites it and holds one more n x m buffer.
+    """
     w, col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
+    e0 = np.eye(1, basis.n_max, dtype=complex)[0]
     x = h / basis.units.hbar
     p = np.exp((-0.5j * x) * np.asarray(basis.energy_vector, dtype=float))
     s_ww, s_wpw = (x * (x * complex(s)) for s in (np.vdot(w, w), w @ (p * col)))
@@ -131,42 +158,6 @@ def _stage_table(basis: CavityBasis, coupling: CouplingOperator, frequency: floa
         monomials = np.stack([c1, c2, c3, c1 * c2, c22, c2 * c3, c1 * c22, c22 * c3,
                               c1 * c22 * c3], axis=1)
         return (monomials @ table).reshape(-1, 4, 4)
-
-    return p, stages
-
-
-def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
-    """(stages, chunks, run, powers) for Lawson RK4 steps of length h.
-
-    stages(starts) stacks the 4x4 stage matrices A_k of the steps from each
-    time in starts; chunks(a) fuses each _CHUNK consecutive ones into a chunk
-    matrix; run(x, table) takes the steps (4x4) or chunks of a table in order;
-    powers stacks P^0 .. P^2J, and a j-step update scales x by F^j = powers[2j].
-
-    With N(t, y) = -i cos(Omega t) W y / hbar, P = exp(-i E h / 2hbar), F = P^2:
-      k1 = N(t, x)              k2 = N(t + h/2, P (x + h/2 k1))
-      k3 = N(t + h/2, P x + h/2 k2)   k4 = N(t + h, F x + h P k3)
-      x' = F x + h/6 (F k1 + 2 P (k2 + k3) + k4)
-    The star W y = y[0] col + (w.y) e0 (col = conj(w), w[0] = 0) makes each
-    k_j = a_j col + b_j e0, linear in g = (w.x, w.(P x), w.(F x), x[0]) since
-    P[0] = F[0] = 1 (zero vacuum energy). So x' = F x + S (A_k G x) with G the
-    4-row gather, S = [F col, P col, col, e0], and A_k the stage formulas on
-    unit inputs g: polynomials in the drive samples cos(Omega t) at t, t + h/2
-    and t + h, so nine monomials times a constant 9 x 16 table (_stage_table).
-
-    J = _CHUNK steps are one exact update x <- F^J x + S_J (T (H_J x)). The
-    gathers G F^i (i < J) hold 2J + 2 distinct rows, w P^k (k <= 2J) and e0,
-    stacked in H_J; the spreads F^i S hold col P^k (S_J, k falling) and e0,
-    last in both. T is built by doubling from T = A_k for one step: with lo
-    and hi the rows of H_2m with k <= 2m and with k >= 2m, each with e0, an
-    m-step chunk T_a followed by T_b is T[lo, lo] = T_a, T[hi, hi] += T_b,
-    T[hi, lo] += T_b Phi_m T_a, Phi_m = H_m S_m. A single step is the same kernel
-    on rows 0..2 and e0 of H_J and the last 4 columns of S_J. x is n x m, a state
-    (m = 1) or a basis (m = r); run overwrites it and holds one more n x m buffer.
-    """
-    w, col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
-    e0 = np.eye(1, basis.n_max, dtype=complex)[0]
-    p, stages = _stage_table(basis, coupling, frequency, h)
 
     powers = np.cumprod([np.ones_like(p), *[p] * (2 * _CHUNK)], axis=0)  # P^0 .. P^2J
     h_op = np.vstack([w * powers, e0])
@@ -197,18 +188,6 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
         return x
 
     return stages, chunks, run, powers
-
-
-def _closing_step(basis, coupling, frequency, start, h, x):
-    """The state x (1-d) one Lawson step of length h after time start: the single-step
-    kernel of _lawson_steps, x' = F x + S (A G x), written out so it builds no operator."""
-    p, stages = _stage_table(basis, coupling, frequency, h)
-    a = stages(np.array([start]))[0]
-    w, f = coupling.vacuum_row, p * p
-    g = a @ [w @ x, (w * p) @ x, (w * f) @ x, x[0]]
-    x = f * x + np.conj(w) * (f * g[0] + p * g[1] + g[2])
-    x[0] += g[3]
-    return x
 
 
 def _map_basis(basis: CavityBasis, coupling: CouplingOperator, period: float) -> np.ndarray:
@@ -261,7 +240,8 @@ def propagate(
     holds no sample (sample_stride >= K), U = D + A V^H is built once from V
     (n x r, _map_basis) stepped half a period, and each sample-free period is
     x <- D x + A (V^H x), in O(n r) work and memory.
-    One step shorter than h ends the run at t_final. Samples: t = 0,
+    One single step shorter than h, the same kernel built for its length,
+    ends the run at t_final. Samples: t = 0,
     multiples of sample_stride*h more than h/2 before t_final, and t_final.
     A dt past the step gate is a ConfigurationError naming the maximum
     admissible dt, and so is a coupling whose w.w overflows; a psi0 whose norm is
@@ -362,8 +342,8 @@ def propagate(
         x = advance(x, start, stop, period_map)
         states[row] = x[:, 0]  # the last row is overwritten with the state at t_final
     if (rest := t_final - whole * h) > 0:  # one closing step shorter than h
-        start = (whole % (2 * half)) * h
-        states[-1] = _closing_step(basis, coupling, drive.frequency, start, rest, x[:, 0])
+        stages, _, run, _ = _lawson_steps(basis, coupling, drive.frequency, rest)
+        states[-1] = run(x, stages(np.array([(whole % (2 * half)) * h])))[:, 0]
 
     trajectory = Trajectory(times=np.array([0.0, *(s * h for s in samples), t_final]),
                             states=states)

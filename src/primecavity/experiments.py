@@ -512,17 +512,28 @@ def scaling_study_dict(study: ScalingStudy) -> dict:
 # gnuplot side-car scripts
 
 
-def write_gnuplot_script(csv_path, kind: str) -> Path:
-    """Emit a small plot script next to an exported CSV; returns its path.
+def gnuplot_script_path(csv_path) -> Path:
+    """The plot script path next to a CSV: the same path with the suffix .gp.
 
-    A CSV path that resolves to its own script path (a .gp file, or a link to
-    one) is refused before anything is written, so the CSV is never replaced.
+    A CSV path that resolves to it (a .gp file, or a link to one) is a
+    ConfigurationError, so the script never replaces its CSV.
     """
     csv_path = Path(csv_path)
     gp = csv_path.with_suffix(".gp")
     if gp.resolve() == csv_path.resolve():
         raise ConfigurationError(f"--out {csv_path} is where --gnuplot-script writes its plot "
                                  f"script; give the CSV another suffix")
+    return gp
+
+
+def write_gnuplot_script(csv_path, kind: str) -> Path:
+    """Emit a small plot script next to an exported CSV; returns its path.
+
+    A CSV path that is its own script path is refused before anything is
+    written (gnuplot_script_path).
+    """
+    csv_path = Path(csv_path)
+    gp = gnuplot_script_path(csv_path)
     templates = {"scaling": ("set logscale xy\n", "preparation time", "linespoints"),
                  "spectrum": ("", "energy", "points")}
     if kind not in templates:

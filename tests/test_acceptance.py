@@ -7,8 +7,13 @@ amplitude is lambda*a1 + lambda^3*a3 + ... (odd orders only) and the relative
 error of first order in its probability is quadratic in lambda.
 """
 
+import contextlib
+import io
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from primecavity import (
 
 from helpers import naive_factor, oracle_rk4
 
+ROOT = Path(__file__).resolve().parents[1]
 MIN_GAP_5000 = 2.0002000266706673e-4   # log(5000/4999) to 30 digits, rounded
 T_DISC_8 = 53.696657460823296          # 2*sqrt(10)/log(9/8)
 TWO_SQRT_10 = 6.324555320336759
@@ -302,3 +308,29 @@ def test_criterion_8_reachability():
         CouplingOperator(model="x", strength=1e-3, matrix=nonherm)
     _report(8, True, "both models reachable at every tested size; "
                      "violating operators rejected")
+
+
+# ---------------------------------------------------------------------------
+# the README's library example and the benchmark's own self-test
+
+
+def test_readme_library_example_reads_3_times_7():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    readout, share = out.getvalue().splitlines()
+    assert readout == "3*7"
+    assert float(share) > 0.9
+    _report("README", True, f"library example reads {readout}, target share {share}")
+
+
+def test_benchmark_self_test_passes():
+    # the benchmark pins part of the API (propagate's sample_stride, Trajectory's
+    # times, states and final, write_scaling_csv); a change to it fails here
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--self-test"],
+                          capture_output=True, text=True, cwd=ROOT, check=False, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-test passed"

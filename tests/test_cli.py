@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
@@ -56,7 +57,11 @@ def test_spectrum_csv_and_gnuplot(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--nmax", "5"], ["scaling", "8", "16"]])
-def test_gnuplot_script_may_not_overwrite_its_csv(argv, tmp_path, capsys):
+def test_gnuplot_script_may_not_overwrite_its_csv(argv, tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):  # refused before the run
+        raise AssertionError(f"{argv[0]} ran")
+
+    monkeypatch.setattr(cli, f"run_{argv[0]}", unreachable)
     out = tmp_path / "levels.gp"
     assert run_cli(argv + ["--out", str(out), "--gnuplot-script"]) == 4
     assert "--out" in capsys.readouterr().err
@@ -66,6 +71,25 @@ def test_gnuplot_script_may_not_overwrite_its_csv(argv, tmp_path, capsys):
     assert run_cli(argv + ["--out", str(link), "--gnuplot-script"]) == 4
     assert "--out" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,argv", [("spectrum", ["--nmax", "40"]),
+                                          ("scaling", ["8", "16", "32"])])
+def test_a_csv_write_that_fails_part_way_leaves_no_plot_script(command, argv, tmp_path,
+                                                              monkeypatch, capsys):
+    # the CSV is written before its plot script, so a full disk leaves no stray .gp
+    csv_lines = getattr(cli, f"{command}_csv_lines")
+
+    def first_piece_then_enospc(*result):
+        yield next(iter(csv_lines(*result)))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, f"{command}_csv_lines", first_piece_then_enospc)
+    out = tmp_path / "t.csv"
+    assert run_cli([command, *argv, "--out", str(out), "--gnuplot-script"]) == 4
+    assert f"cannot write --out {out}" in capsys.readouterr().err
+    assert out.read_text().startswith("# manifest: ")  # the partial CSV
+    assert not (tmp_path / "t.gp").exists()
 
 
 @pytest.mark.parametrize("argv", [
