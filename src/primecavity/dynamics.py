@@ -22,7 +22,7 @@ inconclusive rather than raised.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -100,13 +100,13 @@ def step_grid(t_final: float, dt: float, frequency: float) -> tuple[float, int]:
     return period / steps, steps
 
 
-def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: float, h: float):
-    """(stages, chunks, run, powers) for Lawson RK4 steps of length h.
+class _Kernel:
+    """Lawson RK4 steps of length h, the tables they run on, and the period map.
 
     stages(starts) stacks the 4x4 stage matrices A_k of the steps from each
     time in starts; chunks(a) fuses each _CHUNK consecutive ones into a chunk
     matrix; run(x, table) takes the steps (4x4) or chunks of a table in order;
-    powers stacks P^0 .. P^2J, and a j-step update scales x by F^j = powers[2j].
+    operators(j), the (F^j, H_j, S_j) of a j-step update, is built on first use.
 
     With N(t, y) = -i cos(Omega t) W y / hbar, P = exp(-i E h / 2hbar), F = P^2:
       k1 = N(t, x)              k2 = N(t + h/2, P (x + h/2 k1))
@@ -122,50 +122,62 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
     x^2 (w.(P col)): the gate keeps x times every energy small, where h^3 or
     1/hbar^4 overflow.
 
-    J = _CHUNK steps are one exact update x <- F^J x + S_J (T (H_J x)). The
-    gathers G F^i (i < J) hold 2J + 2 distinct rows, w P^k (k <= 2J) and e0,
-    stacked in H_J; the spreads F^i S hold col P^k (S_J, k falling) and e0,
-    last in both. T is built by doubling from T = A_k for one step: with lo
-    and hi the rows of H_2m with k <= 2m and with k >= 2m, each with e0, an
-    m-step chunk T_a followed by T_b is T[lo, lo] = T_a, T[hi, hi] += T_b,
-    T[hi, lo] += T_b Phi_m T_a, Phi_m = H_m S_m. A single step is the same kernel
-    on rows 0..2 and e0 of H_J and the last 4 columns of S_J. x is n x m, a state
-    (m = 1) or a basis (m = r); run overwrites it and holds one more n x m buffer.
+    j steps are one exact update x <- F^j x + S_j (T (H_j x)). The gathers
+    G F^i (i < j) hold 2j + 2 distinct rows, w P^k (k <= 2j) and e0, stacked in
+    H_j; the spreads F^i S hold col P^k (S_j, k falling) and e0, last in both,
+    so G = H_1 and S = S_1. For J = _CHUNK, T is built by doubling from T = A_k:
+    with lo and hi the rows of H_2m with k <= 2m and with k >= 2m, each with e0,
+    an m-step chunk T_a followed by T_b is T[lo, lo] = T_a, T[hi, hi] += T_b,
+    T[hi, lo] += T_b Phi_m T_a, Phi_m = H_m S_m (rows lo of H_J, the last 2m + 2
+    columns of S_J). x is n x m, a state (m = 1) or a basis (m = r); run
+    overwrites it and holds one more n x m buffer.
     """
-    w, col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
-    e0 = np.eye(1, basis.n_max, dtype=complex)[0]
-    x = h / basis.units.hbar
-    p = np.exp((-0.5j * x) * np.asarray(basis.energy_vector, dtype=float))
-    s_ww, s_wpw = (x * (x * complex(s)) for s in (np.vdot(w, w), w @ (p * col)))
-    # A_k[row, column] = sum of table[monomial, row, column] * monomial: row is
-    # a1, a2 + a3, a4 or the e0 sum of b; column is the unit input g
-    table = np.zeros((9, 4, 4), dtype=complex)
-    for monomial, row, column, value in [
-        (0, 0, 3, x), (0, 3, 0, x), (1, 1, 3, 4 * x), (1, 3, 1, 4 * x),  # c1, c2
-        (2, 2, 3, x), (2, 3, 2, x), (3, 1, 0, x * x), (3, 3, 3, s_wpw),  # c3, c1 c2
-        (4, 1, 1, x * x), (4, 3, 3, s_ww), (5, 2, 1, x * x), (5, 3, 3, s_wpw),  # c2^2, c2 c3
-        (6, 1, 3, x * s_wpw / 2), (6, 3, 0, x * s_ww / 2),  # c1 c2^2
-        (7, 2, 3, x * s_ww / 2), (7, 3, 1, x * s_wpw / 2),  # c2^2 c3
-        (8, 2, 0, x * (x * s_ww) / 4), (8, 3, 3, s_wpw**2 / 4),  # c1 c2^2 c3
-    ]:
-        table[monomial, row, column] = value
-    degree = np.array([1, 1, 1, 2, 2, 2, 3, 3, 4])
-    table = ((-1j) ** degree[:, None, None] / 6 * table).reshape(9, 16)
 
-    def stages(starts: np.ndarray) -> np.ndarray:
-        c1, c2, c3 = (np.cos(frequency * t) for t in (starts, starts + 0.5 * h, starts + h))
+    def __init__(self, basis: CavityBasis, coupling: CouplingOperator, frequency: float,
+                 h: float, half: int = 1):
+        self.frequency, self.h, self.half = frequency, h, half  # half: steps a table spans
+        self.block_steps = _CHUNK * max(1, _TABLE_BYTES // (16 * (2 * _CHUNK + 2) ** 2))
+        self.w, self.col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
+        self.e0 = np.eye(1, basis.n_max, dtype=complex)[0]
+        x = h / basis.units.hbar
+        self.p = np.exp((-0.5j * x) * np.asarray(basis.energy_vector, dtype=float))
+        s_ww, s_wpw = (x * (x * complex(s)) for s in (np.vdot(self.w, self.w),
+                                                      self.w @ (self.p * self.col)))
+        # A_k[row, column] = sum of table[monomial, row, column] * monomial: row is
+        # a1, a2 + a3, a4 or the e0 sum of b; column is the unit input g
+        table = np.zeros((9, 4, 4), dtype=complex)
+        for monomial, row, column, value in [
+            (0, 0, 3, x), (0, 3, 0, x), (1, 1, 3, 4 * x), (1, 3, 1, 4 * x),  # c1, c2
+            (2, 2, 3, x), (2, 3, 2, x), (3, 1, 0, x * x), (3, 3, 3, s_wpw),  # c3, c1 c2
+            (4, 1, 1, x * x), (4, 3, 3, s_ww), (5, 2, 1, x * x), (5, 3, 3, s_wpw),  # c2^2, c2 c3
+            (6, 1, 3, x * s_wpw / 2), (6, 3, 0, x * s_ww / 2),  # c1 c2^2
+            (7, 2, 3, x * s_ww / 2), (7, 3, 1, x * s_wpw / 2),  # c2^2 c3
+            (8, 2, 0, x * (x * s_ww) / 4), (8, 3, 3, s_wpw**2 / 4),  # c1 c2^2 c3
+        ]:
+            table[monomial, row, column] = value
+        degree = np.array([1, 1, 1, 2, 2, 2, 3, 3, 4])
+        self.stage_table = ((-1j) ** degree[:, None, None] / 6 * table).reshape(9, 16)
+        self.built = {}  # j -> operators(j)
+        self.block = None, None, None  # b, its stage matrices, their chunk matrices
+
+    def stages(self, starts: np.ndarray) -> np.ndarray:
+        h = self.h
+        c1, c2, c3 = (np.cos(self.frequency * t) for t in (starts, starts + 0.5 * h, starts + h))
         c22 = c2 * c2
         monomials = np.stack([c1, c2, c3, c1 * c2, c22, c2 * c3, c1 * c22, c22 * c3,
                               c1 * c22 * c3], axis=1)
-        return (monomials @ table).reshape(-1, 4, 4)
+        return (monomials @ self.stage_table).reshape(-1, 4, 4)
 
-    powers = np.cumprod([np.ones_like(p), *[p] * (2 * _CHUNK)], axis=0)  # P^0 .. P^2J
-    h_op = np.vstack([w * powers, e0])
-    s_op = np.column_stack([(powers[::-1] * col).T, e0])
-    fused = powers[-1][:, None], h_op, s_op  # F^J, H_J, S_J
-    single = powers[2][:, None], h_op[[0, 1, 2, -1]], s_op[:, -4:]  # F, G, S
+    def operators(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if j not in self.built:
+            powers = np.cumprod([np.ones_like(self.p), *[self.p] * (2 * j)], axis=0)  # P^0 .. P^2j
+            h_op = np.vstack([self.w * powers, self.e0])
+            s_op = np.column_stack([(powers[::-1] * self.col).T, self.e0])
+            self.built[j] = powers[-1][:, None], h_op, s_op  # F^j, H_j, S_j
+        return self.built[j]
 
-    def chunks(a: np.ndarray) -> np.ndarray:
+    def chunks(self, a: np.ndarray) -> np.ndarray:
+        _, h_op, s_op = self.operators(_CHUNK)
         t, m = a, 1
         while m < _CHUNK:  # pair consecutive m-step chunks, every pair at once
             t_a, t_b = t[0::2], t[1::2]
@@ -178,8 +190,8 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
             m *= 2
         return t
 
-    def run(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-        f_j, h_j, s_j = single if table.shape[-1] == 4 else fused
+    def run(self, x: np.ndarray, table: np.ndarray) -> np.ndarray:
+        f_j, h_j, s_j = self.operators(table.shape[-1] // 2 - 1)  # j-step tables are 2j + 2 wide
         buf = np.empty(x.shape, dtype=complex)  # C order, as np.dot(out=) requires
         for t in table:
             np.dot(s_j, t.dot(h_j.dot(x)), out=buf)  # dot: less call overhead than @
@@ -187,14 +199,68 @@ def _lawson_steps(basis: CavityBasis, coupling: CouplingOperator, frequency: flo
             x += buf
         return x
 
-    return stages, chunks, run, powers
+    def tables(self, b: int, chunked: bool) -> np.ndarray:  # block b's stage or chunk matrices
+        if self.block[0] != b:
+            steps = np.arange(b * self.block_steps, min((b + 1) * self.block_steps, self.half))
+            self.block = b, self.stages(steps * self.h), None
+        if chunked and self.block[2] is None:
+            a = self.block[1]
+            self.block = b, a, self.chunks(a[: len(a) - len(a) % _CHUNK])
+        return self.block[2 if chunked else 1]
+
+    def advance(self, x, k, stop, period_map=None):  # steps k -> stop: maps, chunks, steps
+        half, rows = self.half, self.block_steps
+        while k < stop:
+            if period_map is not None and k % (2 * half) == 0 and stop - k >= 2 * half:
+                d, a, vh = period_map
+                x, k = d * x + a.dot(vh.dot(x)), k + 2 * half
+                continue
+            mirrored, j = divmod(k % (2 * half), half)
+            b, i = divmod(j, rows)
+            if j % _CHUNK == 0 and min(half - j, stop - k) >= _CHUNK:
+                count = min(half - j, rows - i, stop - k) // _CHUNK
+                table = self.tables(b, True)[i // _CHUNK : i // _CHUNK + count]
+                taken = count * _CHUNK
+            else:
+                count = min(_CHUNK - j % _CHUNK, half - j, stop - k)
+                table, taken = self.tables(b, False)[i : i + count], count
+            if mirrored:  # a second-half run is Pi (the first-half run) Pi
+                x[1:] *= -1
+            x, k = self.run(x, table), k + taken
+            if mirrored:
+                x[1:] *= -1
+        return x
+
+    def build_map(self, v):  # (D, A, V^H) of a period U = Pi U_h Pi U_h, U_h a half, from V
+        d = np.ones((v.shape[0], 1), dtype=complex)  # D_h, the diagonal the kernel applies
+        for j in [_CHUNK] * (self.half // _CHUNK) + [1] * (self.half % _CHUNK):
+            d *= self.operators(j)[0]
+        vh = v.conj().T
+        s = self.advance(v, 0, self.half)  # S = U_h V: V stepped in place through half a period
+        # A = U V - D V = D_h A_h + Pi A_h (V^H Pi S), A_h = S - D_h V, D = D_h^2 (Pi V spans V)
+        s[0] *= -1  # Pi' = -Pi flips only the vacuum row
+        m = vh.dot(s)  # V^H Pi' S
+        s[0] *= -1
+        width = max(1, _TABLE_BYTES // (16 * m.shape[0]))
+        buf = np.empty((min(width, v.shape[0]), m.shape[0]), dtype=complex)
+        for top in range(0, v.shape[0], width):  # A over S in row blocks, no n x r temporary
+            a_h, d_h = s[top : top + width], d[top : top + width]
+            t = np.conjugate(vh[:, top : top + width].T, out=buf[: len(a_h)])
+            t *= d_h
+            a_h -= t  # A_h = S - D_h V
+            np.dot(a_h, m, out=t)  # Pi A_h (V^H Pi S) = Pi' A_h (V^H Pi' S)
+            t[0] *= -1 if top == 0 else 1
+            a_h *= d_h
+            a_h += t
+        d *= d
+        return d, s, vh
 
 
 def _map_basis(basis: CavityBasis, coupling: CouplingOperator, period: float) -> np.ndarray:
     """Orthonormal n x r basis V of all that one drive period reads of a state.
 
     A period reads x only through e0 and conj(w) exp(iE tau/hbar), tau in
-    [0, period] (_lawson_steps). Chebyshev interpolation of exp(i a s), s in
+    [0, period] (_Kernel). Chebyshev interpolation of exp(i a s), s in
     [-1, 1], a = E_max period/(2 hbar), on m nodes errs by at most twice its
     coefficient tail, 4 sum_{k>=m} |J_k(a)| <= 4 sum_{k>=m} (a/2)^k/k!
     (Bernstein; Trefethen, Approximation Theory and Approximation Practice,
@@ -232,17 +298,17 @@ def propagate(
     and commutes with H0, and cos(Omega (t + T/2)) = -cos(Omega t): the step
     T/2 later is Pi M Pi, M the step from t. So tables cover the first K/2
     steps of a period, and second-half steps flip the sign of x[1:] before and
-    after. A half period goes _CHUNK steps at a time as one fused update
-    (_lawson_steps), on chunks from its start; a chunk holding a sample, and
-    steps left at a half-period end or the end of the run, go singly, so
-    sample_stride changes the final state only by rounding. Each period applies
-    one map U (Floquet; Shirley 1965, Phys. Rev. 138:B979). If a whole period
-    holds no sample (sample_stride >= K), U = D + A V^H is built once from V
-    (n x r, _map_basis) stepped half a period, and each sample-free period is
-    x <- D x + A (V^H x), in O(n r) work and memory.
-    One single step shorter than h, the same kernel built for its length,
-    ends the run at t_final. Samples: t = 0,
-    multiples of sample_stride*h more than h/2 before t_final, and t_final.
+    after. A half period goes _CHUNK steps at a time as one fused update, on
+    chunks from its start; a chunk holding a sample, and steps left at a
+    half-period end or the end of the run, go singly, so sample_stride changes
+    the final state only by rounding (_Kernel). Each period applies one map U
+    (Floquet; Shirley 1965, Phys. Rev. 138:B979). If a whole period holds no
+    sample (sample_stride >= K), U = D + A V^H is built once from V (n x r,
+    _map_basis) stepped half a period, and each sample-free period is
+    x <- D x + A (V^H x), in O(n r) work and memory. One single step shorter
+    than h, on a kernel built for its length with one-step operators only,
+    ends the run at t_final. Samples: t = 0, multiples of sample_stride*h
+    more than h/2 before t_final, and t_final.
     A dt past the step gate is a ConfigurationError naming the maximum
     admissible dt, and so is a coupling whose w.w overflows; a psi0 whose norm is
     off 1 by more than NORM_TOLERANCE is a ValueError, and sampled norm drift
@@ -275,75 +341,18 @@ def propagate(
     whole, grid = int(t_final // h), round(t_final / h)
     jump = per_period and min(sample_stride, whole) >= per_period  # a sample-free whole period
     half = per_period // 2 or grid  # tables span half a period, or the run if it has none
-    chunk = _CHUNK
-    rows = chunk * max(1, _TABLE_BYTES // (16 * (2 * chunk + 2) ** 2))  # steps a block holds
-    stages, chunks, run, powers = _lawson_steps(basis, coupling, drive.frequency, h)
-
-    @lru_cache(maxsize=1)
-    def block(b):  # stage matrices of the b-th block of first-half steps
-        return stages(np.arange(b * rows, min((b + 1) * rows, half)) * h)
-
-    @lru_cache(maxsize=1)
-    def chunk_block(b):  # chunk matrices of the whole chunks in block b
-        a = block(b)
-        return chunks(a[: len(a) - len(a) % chunk])
-
-    def advance(x, k, stop, period_map=None):  # steps k -> stop: map, whole chunks, single steps
-        while k < stop:
-            if period_map is not None and k % per_period == 0 and stop - k >= per_period:
-                x, k = period_map(x), k + per_period
-                continue
-            mirrored, j = divmod(k % (2 * half), half)
-            b, i = divmod(j, rows)
-            if j % chunk == 0 and min(half - j, stop - k) >= chunk:
-                count = min(half - j, rows - i, stop - k) // chunk
-                table, taken = chunk_block(b)[i // chunk : i // chunk + count], count * chunk
-            else:
-                count = min(chunk - j % chunk, half - j, stop - k)
-                table, taken = block(b)[i : i + count], count
-            if mirrored:  # a second-half run is Pi (the first-half run) Pi
-                x[1:] *= -1
-            x, k = run(x, table), k + taken
-            if mirrored:
-                x[1:] *= -1
-        return x
-
-    def build_map():  # U = Pi U_h Pi U_h, U_h = D_h + A_h V^H the first half period
-        v = _map_basis(basis, coupling, per_period * h)
-        d = np.ones((basis.n_max, 1), dtype=complex)  # D_h, the diagonal the kernel applies
-        for j in [chunk] * (half // chunk) + [1] * (half % chunk):
-            d *= powers[2 * j][:, None]
-        vh = v.conj().T
-        s = advance(v, 0, half)  # S = U_h V: V stepped in place through half a period
-        # A = U V - D V = D_h A_h + Pi A_h (V^H Pi S), A_h = S - D_h V, D = D_h^2 (Pi V spans V)
-        s[0] *= -1  # Pi' = -Pi flips only the vacuum row
-        m = vh.dot(s)  # V^H Pi' S
-        s[0] *= -1
-        width = max(1, _TABLE_BYTES // (16 * m.shape[0]))
-        buf = np.empty((min(width, basis.n_max), m.shape[0]), dtype=complex)
-        for top in range(0, basis.n_max, width):  # A over S in row blocks, no n x r temporary
-            a_h, d_h = s[top : top + width], d[top : top + width]
-            t = np.conjugate(vh[:, top : top + width].T, out=buf[: len(a_h)])
-            t *= d_h
-            a_h -= t  # A_h = S - D_h V
-            np.dot(a_h, m, out=t)  # Pi A_h (V^H Pi S) = Pi' A_h (V^H Pi' S)
-            t[0] *= -1 if top == 0 else 1
-            a_h *= d_h
-            a_h += t
-        d *= d
-        return lambda x: d * x + s.dot(vh.dot(x))
-
-    period_map = build_map() if jump else None
+    kernel = _Kernel(basis, coupling, drive.frequency, h, half)
+    period_map = kernel.build_map(_map_basis(basis, coupling, per_period * h)) if jump else None
     x = x[:, None]
     samples = range(sample_stride, grid, sample_stride)
     states = np.empty((len(samples) + 2, basis.n_max), dtype=complex)
     states[0] = x[:, 0]
     for row, (start, stop) in enumerate(itertools.pairwise([0, *samples, whole]), 1):
-        x = advance(x, start, stop, period_map)
+        x = kernel.advance(x, start, stop, period_map)
         states[row] = x[:, 0]  # the last row is overwritten with the state at t_final
     if (rest := t_final - whole * h) > 0:  # one closing step shorter than h
-        stages, _, run, _ = _lawson_steps(basis, coupling, drive.frequency, rest)
-        states[-1] = run(x, stages(np.array([(whole % (2 * half)) * h])))[:, 0]
+        closing = _Kernel(basis, coupling, drive.frequency, rest)
+        states[-1] = closing.run(x, closing.stages(np.array([(whole % (2 * half)) * h])))[:, 0]
 
     trajectory = Trajectory(times=np.array([0.0, *(s * h for s in samples), t_final]),
                             states=states)

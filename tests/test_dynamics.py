@@ -536,26 +536,23 @@ def test_prepare_sizes_to_44_levels_build_the_period_map(monkeypatch):
     # first), and nothing wider, on a stage table of K/2 rows; the basis is
     # the full n columns up to n = 26 and 25 columns (r < n) from n = 28
     steps, rows, grids = [], [], []
-    lawson, step_grid_ = primecavity.dynamics._lawson_steps, primecavity.dynamics.step_grid
+    kernel, step_grid_ = primecavity.dynamics._Kernel, primecavity.dynamics.step_grid
+    stages, run = kernel.stages, kernel.run
 
-    def spy(*args):
-        stages, chunks, run, fused = lawson(*args)
+    def stages_spy(self, starts):
+        rows.append(len(starts))
+        return stages(self, starts)
 
-        def stages_spy(starts):
-            rows.append(len(starts))
-            return stages(starts)
-
-        def run_spy(x, table):  # a table of J-step matrices is 2J + 2 wide
-            steps.append((x.shape[1], len(table) * (table.shape[-1] // 2 - 1)))
-            return run(x, table)
-
-        return stages_spy, chunks, run_spy, fused
+    def run_spy(self, x, table):  # a table of J-step matrices is 2J + 2 wide
+        steps.append((x.shape[1], len(table) * (table.shape[-1] // 2 - 1)))
+        return run(self, x, table)
 
     def grid_spy(*args):
         grids.append(step_grid_(*args))
         return grids[-1]
 
-    monkeypatch.setattr(primecavity.dynamics, "_lawson_steps", spy)
+    monkeypatch.setattr(kernel, "stages", stages_spy)
+    monkeypatch.setattr(kernel, "run", run_spy)
     monkeypatch.setattr(primecavity.dynamics, "step_grid", grid_spy)
     for target in range(6, 22):
         for log in (steps, rows, grids):
@@ -586,13 +583,75 @@ def test_second_half_of_a_period_mirrors_the_first(model, units):
         h0 = t_final / math.ceil(t_final / dt - 1e-12)
         assert per_period % 2 == 0 and h == period / per_period and h <= h0 <= dt
     assert math.ceil(period / h0) == 325 and per_period == 326
-    stages, chunks, _, _ = primecavity.dynamics._lawson_steps(basis, coupling, drive.frequency, h)
+    kernel = primecavity.dynamics._Kernel(basis, coupling, drive.frequency, h)
     starts = np.arange(per_period // 2 - per_period // 2 % 8) * h
-    first, second = stages(starts), stages(starts + period / 2)
-    for a, b, flips in [(first, second, 3), (chunks(first), chunks(second), 17)]:
+    first, second = kernel.stages(starts), kernel.stages(starts + period / 2)
+    for a, b, flips in [(first, second, 3), (kernel.chunks(first), kernel.chunks(second), 17)]:
         sign = np.array([-1.0] * flips + [1.0])
         mirrored = sign[:, None] * a * sign
         assert np.linalg.norm(b - mirrored) <= 1e-15 * np.linalg.norm(mirrored)
+
+
+@pytest.mark.parametrize("model", COUPLING_MODELS)
+@pytest.mark.parametrize("units", [Units(), Units(hbar=1.3, omega=0.7)])
+def test_single_steps_use_the_chunk_operator_layout(model, units):
+    # a kernel that takes only single steps builds the one-step gather and
+    # spread alone; they are rows 0, 1, 2 and e0 of the fused gather and the
+    # last four columns of the fused spread, bit for bit, and F is the P^2
+    # of the fused build's powers P^0 .. P^2J
+    basis = build_basis(30, units)
+    coupling = build_coupling(basis, model, 1e-3)
+    drive = DriveConfig.resonant(basis, 14)
+    h = max_stable_dt(basis, coupling) / 2
+    chunk = primecavity.dynamics._CHUNK
+    single = primecavity.dynamics._Kernel(basis, coupling, drive.frequency, h)
+    fused = primecavity.dynamics._Kernel(basis, coupling, drive.frequency, h)
+    f, gather, spread = single.operators(1)
+    _, h_j, s_j = fused.operators(chunk)
+    assert list(single.built) == [1] and list(fused.built) == [chunk]
+    powers = np.cumprod([np.ones_like(fused.p), *[fused.p] * (2 * chunk)], axis=0)
+    assert f.tobytes() == powers[2][:, None].tobytes()
+    assert gather.shape == (4, 30) and gather.tobytes() == h_j[[0, 1, 2, -1]].tobytes()
+    assert spread.shape == (30, 4)
+    assert spread.tobytes() == np.ascontiguousarray(s_j[:, -4:]).tobytes()
+
+
+def test_closing_step_builds_only_the_single_step_operators(monkeypatch):
+    # 1.3 periods at n = 30, K = 326: 423 whole steps and a closing step of
+    # 0.8 h. Stride 141 leaves chunks and single steps to the main kernel,
+    # which builds the one-step and the chunk operators once each; the
+    # closing kernel builds the one-step operators only. The final state is
+    # bit for bit the closing step taken on operators sliced from a fused
+    # build of P^0 .. P^2J, as the kernel took it when it built both
+    built = []
+    kernel, chunk = primecavity.dynamics._Kernel, primecavity.dynamics._CHUNK
+    operators = kernel.operators
+
+    def operators_spy(self, j):
+        if j not in self.built:
+            built.append((self.h, j))
+        return operators(self, j)
+
+    monkeypatch.setattr(kernel, "operators", operators_spy)
+    basis, coupling, drive = _uniform_setup(30, 14, 1e-3)
+    dt = max_stable_dt(basis, coupling) / 2
+    t_final = 1.3 * 2.0 * math.pi / drive.frequency
+    h, per_period = step_grid(t_final, dt, drive.frequency)
+    whole = int(t_final // h)
+    rest = t_final - whole * h
+    assert (per_period, whole) == (326, 423) and 0.5 * h < rest < h
+    run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt, sample_stride=141)
+    assert sorted(built) == [(rest, 1), (h, 1), (h, chunk)]
+    assert run.times[-2] == whole * h  # the state the closing step starts from
+
+    closing = kernel(basis, coupling, drive.frequency, rest)
+    powers = np.cumprod([np.ones_like(closing.p), *[closing.p] * (2 * chunk)], axis=0)
+    gather = np.vstack([closing.w * powers, closing.e0])[[0, 1, 2, -1]]
+    spread = np.column_stack([(powers[::-1] * closing.col).T, closing.e0])[:, -4:]
+    start = run.states[-2][:, None]
+    a = closing.stages(np.array([(whole % per_period) * h]))[0]
+    expected = start * powers[2][:, None] + spread.dot(a.dot(gather.dot(start)))
+    assert run.final.tobytes() == expected[:, 0].tobytes()
 
 
 @settings(max_examples=10, deadline=None)
