@@ -67,7 +67,9 @@ def _format_tables():
     exponent suffix (sign, three digits) for e = -251..250, the digits and trailing zeros of
     0..9999, the row head, and the layouts. A row holds 32 code points: ".", NUL, "e", "0",
     "000" and the 17 digits (4-23), the suffix (24-27) and the end (28-29); a layout lists
-    the row positions of one string, padded with NUL to 25, the longest string.
+    the row positions of one string, padded with NUL to 25, the longest string. _format_ints
+    shares the digits; its layouts follow the floats', one per digit count k = 0..12, for a
+    row of 16 code points: 12 digits, the end (12-13), NUL (14-15).
     """
     hi, lo, suffix = [], [], []
     for e in range(-251, 251):
@@ -90,10 +92,60 @@ def _format_tables():
     units = np.concatenate([[[46, 0, 101, 48]], suffix, quads + 48]).astype(np.uint32)
     units = units.view(np.complex128).ravel()  # an element moves four code points at once
     return (np.array(hi), np.array(lo), units[0], units[1:503], units[503:], zeros,
-            np.array([row + [28, 29] + [1] * (23 - len(row)) for row in layouts]))
+            np.array([row + [28, 29] + [1] * (23 - len(row)) for row in layouts]),
+            np.array([[*range(12 - k, 14), *[15] * (12 - k)] for k in range(13)]))
 
 
-def _format_17g(values, end: str = "") -> list[str]:
+def _block_buffers(rows: int):
+    """The code points of a block of up to rows rows, as flat arrays for the formatters to
+    reshape: a row of 32 (a float's) or 16 (an int's), and a string of 25 or 14 a row.
+
+    They are the formatters' only arrays wider than one column. _csv_lines allocates them
+    once per table, so no block waits on the heap to hand back and fault in ~0.5 MB.
+    """
+    return np.empty(rows * 8, np.complex128), np.empty(rows * 25, np.uint32)
+
+
+def _gather(rows, layouts, layout, text) -> list[str]:
+    """One string a row of code points: row i laid out by layouts[layout[i]], into text.
+
+    Every row goes by the block's most common layout in one take, then the rows laid out
+    otherwise are redone, so no index as large as text is built.
+    """
+    common = np.bincount(layout).argmax()
+    np.take(rows, layouts[common], axis=1, out=text, mode="clip")  # "raise" copies text
+    other = np.flatnonzero(layout != common)
+    text[other] = rows[other[:, None], layouts[layout[other]]]
+    return text.view(f"U{text.shape[1]}").ravel().tolist()
+
+
+def _format_ints(cells, end: str, buffers) -> list[str]:
+    """["%d" % n + end for n in cells] for a range or a sequence of ints, exactly.
+
+    n in [0, 10**12) is three groups of four digits from _format_tables' digits and one
+    gather (_gather) by its digit count; "%d" per value takes the rest.
+    """
+    fmt, n, tables = "%d" + end, len(cells), _format_tables()
+    quad_t, layouts = tables[4], tables[7]
+    if isinstance(cells, range):  # np.asarray iterates a range one int at a time
+        ints = np.arange(cells.start, cells.stop, cells.step)
+    else:
+        ints = np.array(cells, np.int64)
+    slow = np.flatnonzero((ints < 0) | (ints >= 10**12))
+    ints[slow] = 0
+    row = buffers[0][: 4 * n].reshape(n, 4)
+    high, low = np.divmod(ints, 10**4)
+    for i, group in enumerate([*np.divmod(high, 10**4), low]):
+        row[:, i] = quad_t[group]
+    row[:, 3] = np.array([*map(ord, end), 0, 0, 0, 0][:4], np.uint32).view(np.complex128)
+    digits = 1 + np.searchsorted(10 ** np.arange(1, 12), ints, side="right")
+    strings = _gather(row.view(np.uint32), layouts, digits, buffers[1][: 14 * n].reshape(n, 14))
+    for i in slow.tolist():
+        strings[i] = fmt % cells[i]
+    return strings
+
+
+def _format_17g(values, end: str = "", buffers=None) -> list[str]:
     """["%.17g" % v + end for v in values] for float64 values, exactly.
 
     Vector path, for v in _VECTOR_RANGE: e = floor(log10(v)), (hi, lo) is 10**(16 - e) as a
@@ -103,11 +155,13 @@ def _format_17g(values, end: str = "") -> list[str]:
     subnormals, inf and nan, |v| outside the range, r within _TIE_MARGIN of a half (ties
     and near-ties), and d not strictly inside (10**16, 10**17) (a wrong e, or a carry).
     Each string, fixed for -4 <= e < 17 without trailing zeros or a bare point and d.ddde+XX
-    otherwise, is one gather from a row of code points; end has at most two characters.
-    _csv_lines calls it with one block, _VECTOR_MIN to _CSV_BLOCK_ROWS values.
+    otherwise, is one gather (_gather) from a row of code points in buffers (_block_buffers,
+    fresh ones without it); end has at most two characters. _csv_lines calls it with one
+    block, _VECTOR_MIN to _CSV_BLOCK_ROWS values, and the table's buffers.
     """
     fmt, n, values = "%.17g" + end, len(values), np.asarray(values, dtype=float)
-    hi_t, lo_t, head, suffix, quad_t, zeros_t, layouts = _format_tables()
+    hi_t, lo_t, head, suffix, quad_t, zeros_t, layouts, _ = _format_tables()
+    codes, text = buffers or _block_buffers(n)
     slow = ~((values >= _VECTOR_RANGE[0]) & (values <= _VECTOR_RANGE[1]))
     v = np.where(slow, 1.5, values)  # any value in the range: the reference path redoes it
     e = np.floor(np.log10(v)).astype(np.intp)
@@ -123,22 +177,21 @@ def _format_17g(values, end: str = "") -> list[str]:
     slow |= (np.abs(r - rounded) > 0.5 - _TIE_MARGIN) | (d <= 10**16) | (d >= 10**17)
     d[slow] = 10**16 + 1
     high, low = np.divmod(d, 10**8)
-    quads = np.empty((n, 5), np.intp)  # the first digit, then four digits at a time
-    quads[:, 0], high = np.divmod(high, 10**8)
-    quads[:, 1::2], quads[:, 2::2] = np.divmod(np.stack([high, low], axis=1), 10**4)
-    row = np.empty((n, 8), np.complex128)
-    row[:, 0], row[:, 1:6], row[:, 6] = head, quad_t[quads], suffix[e + 251]
+    first, high = np.divmod(high, 10**8)
+    quads = [first, *np.divmod(high, 10**4), *np.divmod(low, 10**4)]  # 1, 4, 4, 4, 4 digits
+    row = codes[: 8 * n].reshape(n, 8)
+    row[:, 0], row[:, 6] = head, suffix[e + 251]
+    for i, quad in enumerate(quads):
+        row[:, 1 + i] = quad_t[quad]
     row[:, 7] = np.array([*map(ord, end), 0, 0, 0, 0][:4], np.uint32).view(np.complex128)
-    zeros = zeros_t[quads]
+    zeros = zeros_t[quads[4]]
     for i in (3, 2, 1):  # trailing zeros of the 16 low digits, four at a time
-        zeros[:, 4] += (zeros[:, 4] == 4 * (4 - i)) * zeros[:, i]
-    kept, q = 17 - zeros[:, 4], np.maximum(e, 0)
+        zeros += (zeros == 4 * (4 - i)) * zeros_t[quads[i]]
+    kept, q = 17 - zeros, np.maximum(e, 0)
     chars = np.maximum(kept - np.minimum(e, 0), q + 1)
     layout = np.where((e >= -4) & (e < 17), (e + 4) * 24 + chars + (chars > q + 1),
                       504 + 2 * kept - 2 + (np.abs(e) < 100))
-    index = np.take(layouts, layout, axis=0)
-    index += 32 * np.arange(n)[:, None]
-    strings = np.take(row.view(np.uint32), index).view("U25").ravel().tolist()
+    strings = _gather(row.view(np.uint32), layouts, layout, text[: 25 * n].reshape(n, 25))
     for i in np.flatnonzero(slow).tolist():
         strings[i] = fmt % values[i]
     return strings
@@ -163,15 +216,20 @@ def _csv_lines(manifest: dict, header: str, columns, end: str = "\n"):
     equal-length columns, _CSV_BLOCK_ROWS rows a piece. The header and each row end in end.
 
     Float cells render as "%.17g", strings as they are, and ints as "%d". A block of at least
-    _VECTOR_MIN rows goes column by column: floats through _format_17g, each separator
-    folded into the cell before it or, after a string, a piece of its own, and the pieces
-    laid out row by row by slice assignment for one join. A shorter block, where "%.17g"
-    per value is the faster, is one % per row.
+    _VECTOR_MIN rows goes column by column: floats through _format_17g and ints through
+    _format_ints, both into code-point buffers the table allocates once (_block_buffers),
+    each separator folded into the cell before it or, after a string, a piece of its own,
+    and the pieces laid out row by row by slice assignment for one join. A shorter block,
+    where "%.17g" per value is the faster, is one % per row; a table of such blocks alone
+    allocates no buffers.
     """
     yield f"# manifest: {json.dumps(manifest)}\n"
     yield header + end
-    seps = [","] * (len(columns) - 1) + [end]
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+    seps, rows = [","] * (len(columns) - 1) + [end], len(columns[0])
+    # allocated before the first block: allocated at it, they cost an in-process spectrum
+    # --nmax 50000 operation ~250 more minor page faults (measured with ru_minflt)
+    buffers = _block_buffers(min(rows, _CSV_BLOCK_ROWS)) if rows >= _VECTOR_MIN else None
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
         block = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
         kinds = ["%.17g" if isinstance(cells[0], float)  # a float64 array's cells are floats
                  else "%s" if isinstance(cells[0], str) else "%d" for cells in block]
@@ -181,11 +239,11 @@ def _csv_lines(manifest: dict, header: str, columns, end: str = "\n"):
         pieces = []
         for cells, kind, sep in zip(block, kinds, seps):
             if kind == "%.17g":
-                pieces.append(_format_17g(cells, sep))
+                pieces.append(_format_17g(cells, sep, buffers))
             elif kind == "%s":
                 pieces += [cells, [sep] * len(cells)]
             else:
-                pieces.append([f"{n}{sep}" for n in cells])
+                pieces.append(_format_ints(cells, sep, buffers))
         text = [""] * (len(pieces) * len(pieces[0]))
         for j, cells in enumerate(pieces):  # row-major: cell j of each row
             text[j :: len(pieces)] = cells

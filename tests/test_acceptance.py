@@ -10,6 +10,7 @@ error of first order in its probability is quadratic in lambda.
 import contextlib
 import io
 import math
+import shlex
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ from primecavity import (
     Units,
     build_basis,
     build_coupling,
+    cli,
     compose,
     discrimination_time,
     excitation_probability,
@@ -311,7 +313,19 @@ def test_criterion_8_reachability():
 
 
 # ---------------------------------------------------------------------------
-# the README's library example and the benchmark's own self-test
+# the README's examples and the benchmark's own self-test
+
+
+def test_readme_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 7 and all(argv[0] == "primecavity" for argv in commands)
+    monkeypatch.chdir(tmp_path)  # the examples' --out files land here
+    codes = [cli.main(argv[1:]) for argv in commands]
+    capsys.readouterr()
+    assert codes == [0] * 7, list(zip(codes, commands))
+    _report("README", True, "7 command-line examples exit 0")
 
 
 def test_readme_library_example_reads_3_times_7():

@@ -128,6 +128,31 @@ def test_a_flag_two_subcommands_share_means_the_same_on_each():
         assert len(set(by.values())) == 1, (option, by)
 
 
+def test_main_builds_the_parser_once_and_keeps_nothing_between_calls(monkeypatch, capsys):
+    # the second valid call relies on the defaults the first one overrode, after a usage error
+    calls = [["scaling", "8", "16", "32", "--kappa", "20", "--format", "json"],
+             ["scaling", "--mode", "bogus"], ["scaling", "--format", "json"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    fresh = [subprocess.run([sys.executable, "-m", "primecavity", *argv], capture_output=True,
+                            text=True, env=env, check=False) for argv in calls]
+    builds = []
+
+    def spy():
+        builds.append(build())
+        return builds[-1]
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        for argv, proc in zip(calls, fresh, strict=True):
+            assert (run_cli(argv), *capsys.readouterr()) == (proc.returncode, proc.stdout,
+                                                             proc.stderr)
+    finally:
+        cli._parser.cache_clear()  # no later test parses with the spy's tree
+    assert [proc.returncode for proc in fresh] == [0, 4, 0] and len(builds) == 1
+
+
 def test_spectrum_json(tmp_path):
     out = tmp_path / "levels.json"
     assert run_cli(["spectrum", "--nmax", "12", "--format", "json", "--out", str(out)]) == 0

@@ -26,7 +26,10 @@ from primecavity.cli import main as run_cli
 from primecavity.experiments import (
     _CSV_BLOCK_ROWS,
     _VECTOR_MIN,
+    _block_buffers,
+    _csv_lines,
     _format_17g,
+    _format_ints,
     prepare_csv_lines,
     prepare_report_dict,
     scaling_csv_lines,
@@ -114,7 +117,8 @@ def test_spectrum_json_rows_equal_csv_rows():
 
 
 @pytest.mark.parametrize("n_max", [2, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
-                                   _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 1])
+                                   _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 1,
+                                   10_241])  # block 5 runs from label 8193 to 10 240
 def test_spectrum_csv_blocks_equal_per_row_formatting(n_max):
     # the last two unit systems put every float but E_1 outside _format_17g's vector range
     for hbar, omega in [(1.3, 0.7), (1e-290, 1.0), (1e300, 10.0)]:
@@ -181,22 +185,108 @@ def test_format_17g_equals_percent_17g_on_a_million_patterns_and_the_edge_cases(
 
 def test_format_17g_gets_one_block_of_vector_min_to_block_rows_values(monkeypatch, tmp_path):
     # _csv_lines alone decides the block size and the short-table path: _format_17g has
-    # no fallback for a short column, a long one or a long end
-    calls = []
+    # no fallback for a short column, a long one or a long end. A table allocates its
+    # buffers once and every formatter call of the table gets them; the scaling and prepare
+    # CSVs, under _VECTOR_MIN rows, reach neither the buffers nor the int renderer
+    calls, ints, tables = [], [], []
 
-    def spy(values, end=""):
-        calls.append((len(values), end))
-        return _format_17g(values, end)
+    def spy(values, end, buffers):
+        calls.append((len(values), end, buffers))
+        return _format_17g(values, end, buffers)
+
+    def ints_spy(cells, end, buffers):
+        ints.append((len(cells), end, buffers))
+        return _format_ints(cells, end, buffers)
+
+    def buffers_spy(rows):
+        tables.append((rows, _block_buffers(rows)))
+        return tables[-1][1]
 
     monkeypatch.setattr(primecavity.experiments, "_format_17g", spy)
+    monkeypatch.setattr(primecavity.experiments, "_format_ints", ints_spy)
+    monkeypatch.setattr(primecavity.experiments, "_block_buffers", buffers_spy)
     for n_max in (2, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
                   3 * _CSV_BLOCK_ROWS + 1):
         assert run_cli(["spectrum", "--nmax", str(n_max)]) == 0
+    assert len(calls) == 12  # energy and gap of each spectrum block of _VECTOR_MIN+ rows
+    assert all(_VECTOR_MIN <= n <= _CSV_BLOCK_ROWS and len(end) <= 2 for n, end, _ in calls)
+    assert [rows for rows, _ in tables] == [2047, 2048, 2048, 2048]
+    assert [(n, end) for n, end, _ in ints] == [(n, ",") for n in (2047, 2048, 2048, 2048,
+                                                                     2048, 2048)]
+    per_table = [1, 1, 1, 3]  # blocks of _VECTOR_MIN+ rows
+    owners = [buffers for (_, buffers), k in zip(tables, per_table) for _ in range(k)]
+    assert [buffers for *_, buffers in ints] == owners
+    assert [buffers for *_, buffers in calls] == [b for b in owners for _ in (0, 1)]
+    for spied in (calls, ints, tables):
+        spied.clear()
     assert run_cli(["scaling"]) == 0
     assert run_cli(["prepare", "--target", "6", "--lambda", "0.0138", "--shots", "200",
                     "--format", "csv", "--out", str(tmp_path / "p.csv")]) == 0
-    assert len(calls) == 12  # energy and gap of each spectrum block of _VECTOR_MIN+ rows
-    assert all(_VECTOR_MIN <= n <= _CSV_BLOCK_ROWS and len(end) <= 2 for n, end in calls)
+    assert calls == ints == tables == []
+
+
+_DIGIT_COUNT_EDGES = [range(0, 10**k + 400) for k in (1, 2)] + [
+    range(10**k - 200, 10**k + 400) for k in range(3, 10)] + [range(2**31 - 3000, 2**31)]
+
+
+@pytest.mark.parametrize("labels", [*_DIGIT_COUNT_EDGES, pytest.param(
+    (*range(9_990, 10_300), -7, 10**12 - 1, 10**12, 2**63 - 1), id="tuple")], ids=str)
+def test_int_column_equals_percent_d_at_every_digit_count_edge(labels, monkeypatch):
+    # each range straddles 10**k, the last one ends at 2**31 - 1 (the largest label) in its
+    # second block; the tuple also reaches "%d" per value for cells past three 4-digit groups
+    rendered = []
+
+    def spy(cells, end, buffers):
+        rendered.append(len(cells))
+        return _format_ints(cells, end, buffers)
+
+    monkeypatch.setattr(primecavity.experiments, "_format_ints", spy)
+    for end in ("\n", "\r\n"):
+        pieces = list(_csv_lines({}, "N", [labels], end))
+        assert "".join(pieces[2:]) == "".join("%d" % n + end for n in labels)
+        row = [labels, [0.5] * len(labels)]  # an int cell before a separator
+        assert "".join(list(_csv_lines({}, "N,x", row, end))[2:]) == "".join(
+            "%d,%.17g" % cells + end for cells in zip(*row))
+    blocks = [min(_CSV_BLOCK_ROWS, len(labels) - s)
+              for s in range(0, len(labels), _CSV_BLOCK_ROWS)]
+    assert rendered == 4 * blocks and min(blocks) >= _VECTOR_MIN  # the vector path, each time
+
+
+# a dominant layout: 17 digits in fixed notation (two exponents), then three- and two-digit
+# exponent notation; each gets the same few rows laid out otherwise
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-100, 1e20])
+@pytest.mark.parametrize("size", [_VECTOR_MIN, _CSV_BLOCK_ROWS])
+def test_format_17g_redoes_the_rows_laid_out_otherwise(scale, size, monkeypatch):
+    shares, gather = [], primecavity.experiments._gather
+
+    def spy(rows, layouts, layout, text):
+        counts = np.bincount(layout)
+        shares.append((counts.max() / len(layout), np.count_nonzero(counts)))
+        return gather(rows, layouts, layout, text)
+
+    monkeypatch.setattr(primecavity.experiments, "_gather", spy)
+    rng = np.random.default_rng(size)
+    values = scale * rng.uniform(1.1, 1.9, size)
+    others = [
+        1.5, 1.25, 1.0, 0.125, 1250.0,  # trailing zeros
+        9.9999999999999982, 10.000000000000002, 99.999999999999986, 100.0,  # past 10**k
+        9.9999999999999991e-05, 0.0001, 0.00010000000000000002,  # exponent to fixed
+        99999999999999984.0, 1e17, 1.0000000000000002e17,  # fixed to exponent
+        0.0, -1.5, math.nan, math.inf, -math.inf, 5e-324, sys.float_info.min, 1e300,
+        1e-300, 1125899906842624.25,  # the slow path, a tie at 17 digits the last
+    ]
+    at = np.concatenate([[0, size - 1], rng.choice(np.arange(1, size - 1), len(others) - 2,
+                                                  replace=False)])
+    values[at] = others
+    buffers = _block_buffers(size)
+    for end in ("", ",", "\r\n"):
+        assert _format_17g(values, end, buffers) == _percent_17g(values, end)
+        share, layouts = shares[-1]
+        assert share > 0.5 and layouts >= 8  # one layout dominates, and many rows differ
+        # the buffers hold the previous block's code points, longer strings among them
+        assert _format_ints(range(size), end, buffers) == ["%d" % n + end for n in range(size)]
+        short = values[: _VECTOR_MIN - 1]
+        assert _format_17g(short, end, buffers) == _percent_17g(short, end)
 
 
 def test_spectrum_refuses_a_subnormal_gap_before_building_anything(monkeypatch):
