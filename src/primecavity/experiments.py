@@ -58,18 +58,19 @@ _CSV_BLOCK_ROWS = 2048  # table rows per string _csv_lines yields
 # 10**(16 - e) (up to ~1e267) neither overflows nor loses bits to underflow
 _VECTOR_RANGE = (1e-250, 1e250)
 _TIE_MARGIN = 1e-9  # >> the 1e-14 error of p + r: past it, r rounds as the exact sum does
-_VECTOR_MIN = 256  # _csv_lines formats a shorter block per row: faster below ~190 (measured)
+# _csv_lines formats a shorter block per row. On a 4-column level-table block "%" per row
+# wins below ~160 rows (x86-64, 1 thread: 192 rows 100-102 us per row, 89-91 us vectorised)
+_VECTOR_MIN = 256
 
 
 @functools.cache
 def _format_tables():
     """_format_17g's tables, built on first use: 10**(16 - e) as a double-double and the
-    exponent suffix (sign, three digits) for e = -251..250, the digits and trailing zeros of
-    0..9999, the row head, and the layouts. A row holds 32 code points: ".", NUL, "e", "0",
-    "000" and the 17 digits (4-23), the suffix (24-27) and the end (28-29); a layout lists
-    the row positions of one string, padded with NUL to 25, the longest string. _format_ints
-    shares the digits; its layouts follow the floats', one per digit count k = 0..12, for a
-    row of 16 code points: 12 digits, the end (12-13), NUL (14-15).
+    exponent suffix ("" in fixed notation) for e = -251..250, the row head, the digits of
+    0..9999 (_format_ints' too), and the layouts. A row holds 24 code points: ".", "0", NUL,
+    NUL, "000" and the 17 digits (4-23). A layout, one per exponent class, lists the row
+    positions of a string padded with NUL to 22: "0." and -e - 1 zeros before the digits
+    for e = -4..-1, the point after digit e for e = 0..16, and d.ddd otherwise.
     """
     hi, lo, suffix = [], [], []
     for e in range(-251, 251):
@@ -78,68 +79,56 @@ def _format_tables():
         hn, hd = h.as_integer_ratio()
         hi.append(h)
         lo.append((num * hd - hn * den) / (den * hd))
-        suffix.append(list(map(ord, f"{'-' if e < 0 else '+'}{abs(e):03d}")))
+        suffix.append("" if -4 <= e < 17 else f"e{e:+03d}")
+    layouts = [[1, 0, *[1] * (-e - 1), *range(7, 24)] for e in range(-4, 0)]
+    layouts += [[*range(7, 8 + e), 0, *range(8 + e, 24)] for e in range(17)]
+    layouts.append([7, 0, *range(8, 24)])
     quads = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    zeros = np.where(quads.any(axis=1), np.argmax(quads[:, ::-1] != 0, axis=1), 4)
-    layouts = []
-    for e in range(-4, 17):  # fixed notation: -e leading zeros, or the point after digit e
-        s, q = 7 + min(e, 0), max(e, 0)
-        layouts += [[0 if c == q + 1 else c + s - (c > q) for c in range(end)]
-                    for end in range(24)]
-    for kept in range(1, 18):  # exponent notation, three- or two-digit exponent
-        mantissa = [7, 0, *range(8, 7 + kept)] if kept > 1 else [7]
-        layouts += [mantissa + [2, 24, 25, 26, 27], mantissa + [2, 24, 26, 27]]
-    units = np.concatenate([[[46, 0, 101, 48]], suffix, quads + 48]).astype(np.uint32)
+    units = np.concatenate([[[46, 48, 0, 0]], quads + 48]).astype(np.uint32)
     units = units.view(np.complex128).ravel()  # an element moves four code points at once
-    return (np.array(hi), np.array(lo), units[0], units[1:503], units[503:], zeros,
-            np.array([row + [28, 29] + [1] * (23 - len(row)) for row in layouts]),
-            np.array([[*range(12 - k, 14), *[15] * (12 - k)] for k in range(13)]))
+    return (np.array(hi), np.array(lo), units[0], units[1:], np.array(suffix),
+            np.array([row + [2] * (22 - len(row)) for row in layouts]))
 
 
 def _block_buffers(rows: int):
     """The code points of a block of up to rows rows, as flat arrays for the formatters to
-    reshape: a row of 32 (a float's) or 16 (an int's), and a string of 25 or 14 a row.
-
-    They are the formatters' only arrays wider than one column. _csv_lines allocates them
-    once per table, so no block waits on the heap to hand back and fault in ~0.5 MB.
+    reshape: a row of 24 (a float's) or 16 (an int's), and a laid-out string of 22 a row.
+    _csv_lines allocates them once per table, so no block waits on the heap to hand back
+    and fault in ~0.3 MB; the string steps after them allocate their results per call.
     """
-    return np.empty(rows * 8, np.complex128), np.empty(rows * 25, np.uint32)
+    return np.empty(rows * 6, np.complex128), np.empty(rows * 22, np.uint32)
 
 
-def _gather(rows, layouts, layout, text) -> list[str]:
-    """One string a row of code points: row i laid out by layouts[layout[i]], into text.
-
-    Every row goes by the block's most common layout in one take, then the rows laid out
-    otherwise are redone, so no index as large as text is built.
-    """
+def _gather(rows, layouts, layout, text) -> np.ndarray:
+    """Row i of code points laid out by layouts[layout[i]] into text, viewed as strings:
+    every row by the block's most common layout in one take, then the rows laid out
+    otherwise again, so no index as large as text is built."""
     common = np.bincount(layout).argmax()
     np.take(rows, layouts[common], axis=1, out=text, mode="clip")  # "raise" copies text
     other = np.flatnonzero(layout != common)
     text[other] = rows[other[:, None], layouts[layout[other]]]
-    return text.view(f"U{text.shape[1]}").ravel().tolist()
+    return text.view(f"U{text.shape[1]}").ravel()
 
 
 def _format_ints(cells, end: str, buffers) -> list[str]:
     """["%d" % n + end for n in cells] for a range or a sequence of ints, exactly.
 
-    n in [0, 10**12) is three groups of four digits from _format_tables' digits and one
-    gather (_gather) by its digit count; "%d" per value takes the rest.
+    n in [1, 10**12) is three zero-padded four-digit groups (_format_tables' digits) and
+    end in a row of buffers, its leading zeros stripped; "%d" per value takes the rest.
     """
-    fmt, n, tables = "%d" + end, len(cells), _format_tables()
-    quad_t, layouts = tables[4], tables[7]
+    fmt, n, quad_t = "%d" + end, len(cells), _format_tables()[3]
     if isinstance(cells, range):  # np.asarray iterates a range one int at a time
         ints = np.arange(cells.start, cells.stop, cells.step)
     else:
         ints = np.array(cells, np.int64)
-    slow = np.flatnonzero((ints < 0) | (ints >= 10**12))
+    slow = np.flatnonzero((ints < 1) | (ints >= 10**12))
     ints[slow] = 0
     row = buffers[0][: 4 * n].reshape(n, 4)
     high, low = np.divmod(ints, 10**4)
     for i, group in enumerate([*np.divmod(high, 10**4), low]):
         row[:, i] = quad_t[group]
     row[:, 3] = np.array([*map(ord, end), 0, 0, 0, 0][:4], np.uint32).view(np.complex128)
-    digits = 1 + np.searchsorted(10 ** np.arange(1, 12), ints, side="right")
-    strings = _gather(row.view(np.uint32), layouts, digits, buffers[1][: 14 * n].reshape(n, 14))
+    strings = np.char.lstrip(row.view("U16").ravel(), "0").tolist()
     for i in slow.tolist():
         strings[i] = fmt % cells[i]
     return strings
@@ -154,13 +143,14 @@ def _format_17g(values, end: str = "", buffers=None) -> list[str]:
     is the 17-digit significand. "%.17g" per value takes the rest: zero, negatives,
     subnormals, inf and nan, |v| outside the range, r within _TIE_MARGIN of a half (ties
     and near-ties), and d not strictly inside (10**16, 10**17) (a wrong e, or a carry).
-    Each string, fixed for -4 <= e < 17 without trailing zeros or a bare point and d.ddde+XX
-    otherwise, is one gather (_gather) from a row of code points in buffers (_block_buffers,
-    fresh ones without it); end has at most two characters. _csv_lines calls it with one
-    block, _VECTOR_MIN to _CSV_BLOCK_ROWS values, and the table's buffers.
+    The 17 digits, in a row of code points in buffers (_block_buffers, fresh ones without
+    it), are laid out by exponent class (_gather); then, as C's %g rule says, trailing
+    zeros and a bare point go, and the exponent suffix and end (at most two characters)
+    follow. _csv_lines calls it with one block, _VECTOR_MIN to _CSV_BLOCK_ROWS values, and
+    the table's buffers.
     """
     fmt, n, values = "%.17g" + end, len(values), np.asarray(values, dtype=float)
-    hi_t, lo_t, head, suffix, quad_t, zeros_t, layouts, _ = _format_tables()
+    hi_t, lo_t, head, quad_t, suffix_t, layouts = _format_tables()
     codes, text = buffers or _block_buffers(n)
     slow = ~((values >= _VECTOR_RANGE[0]) & (values <= _VECTOR_RANGE[1]))
     v = np.where(slow, 1.5, values)  # any value in the range: the reference path redoes it
@@ -179,19 +169,14 @@ def _format_17g(values, end: str = "", buffers=None) -> list[str]:
     high, low = np.divmod(d, 10**8)
     first, high = np.divmod(high, 10**8)
     quads = [first, *np.divmod(high, 10**4), *np.divmod(low, 10**4)]  # 1, 4, 4, 4, 4 digits
-    row = codes[: 8 * n].reshape(n, 8)
-    row[:, 0], row[:, 6] = head, suffix[e + 251]
+    row = codes[: 6 * n].reshape(n, 6)
+    row[:, 0] = head
     for i, quad in enumerate(quads):
         row[:, 1 + i] = quad_t[quad]
-    row[:, 7] = np.array([*map(ord, end), 0, 0, 0, 0][:4], np.uint32).view(np.complex128)
-    zeros = zeros_t[quads[4]]
-    for i in (3, 2, 1):  # trailing zeros of the 16 low digits, four at a time
-        zeros += (zeros == 4 * (4 - i)) * zeros_t[quads[i]]
-    kept, q = 17 - zeros, np.maximum(e, 0)
-    chars = np.maximum(kept - np.minimum(e, 0), q + 1)
-    layout = np.where((e >= -4) & (e < 17), (e + 4) * 24 + chars + (chars > q + 1),
-                      504 + 2 * kept - 2 + (np.abs(e) < 100))
-    strings = _gather(row.view(np.uint32), layouts, layout, text[: 25 * n].reshape(n, 25))
+    layout = np.where((e >= -4) & (e < 17), e + 4, 21)
+    digits = _gather(row.view(np.uint32), layouts, layout, text[: 22 * n].reshape(n, 22))
+    digits = np.char.rstrip(np.char.rstrip(digits, "0"), ".")
+    strings = np.char.add(digits, np.char.add(suffix_t, end)[e + 251]).tolist()
     for i in np.flatnonzero(slow).tolist():
         strings[i] = fmt % values[i]
     return strings
@@ -217,7 +202,7 @@ def _csv_lines(manifest: dict, header: str, columns, end: str = "\n"):
 
     Float cells render as "%.17g", strings as they are, and ints as "%d". A block of at least
     _VECTOR_MIN rows goes column by column: floats through _format_17g and ints through
-    _format_ints, both into code-point buffers the table allocates once (_block_buffers),
+    _format_ints, both on code-point buffers the table allocates once (_block_buffers),
     each separator folded into the cell before it or, after a string, a piece of its own,
     and the pieces laid out row by row by slice assignment for one join. A shorter block,
     where "%.17g" per value is the faster, is one % per row; a table of such blocks alone

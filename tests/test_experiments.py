@@ -252,8 +252,29 @@ def test_int_column_equals_percent_d_at_every_digit_count_edge(labels, monkeypat
     assert rendered == 4 * blocks and min(blocks) >= _VECTOR_MIN  # the vector path, each time
 
 
-# a dominant layout: 17 digits in fixed notation (two exponents), then three- and two-digit
-# exponent notation; each gets the same few rows laid out otherwise
+_INT64 = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(1, 10**12 - 1),
+                   st.integers(-50, 50).map(lambda k: 10**12 + k),
+                   st.sampled_from([0, -1, 2**63 - 1, -(2**63)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.one_of(
+    st.lists(_INT64, min_size=1, max_size=600),
+    st.builds(lambda start, step, n: range(start, start + step * n, step),
+              st.integers(-2 * 10**12, 2 * 10**12), st.integers(-(10**10), 10**10).filter(bool),
+              st.integers(1, 600))),
+    end=st.sampled_from([",", "\n", "\r\n"]))
+def test_format_ints_equals_percent_d_on_any_int64_list_and_range(cells, end):
+    # 0, negatives and cells from 10**12 on take "%d" per value; the rest, leading zeros
+    # stripped from three four-digit groups
+    assert _format_ints(cells, end, _block_buffers(len(cells))) == ["%d" % n + end
+                                                                    for n in cells]
+
+
+# a dominant layout, one exponent class: fixed notation at two exponents, then exponent
+# notation at a three- and a two-digit exponent. Each block gets the same few rows of other
+# exponent classes; the rows with trailing zeros share the common layout and differ from
+# the other rows only after the strip
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-100, 1e20])
 @pytest.mark.parametrize("size", [_VECTOR_MIN, _CSV_BLOCK_ROWS])
 def test_format_17g_redoes_the_rows_laid_out_otherwise(scale, size, monkeypatch):
@@ -268,7 +289,7 @@ def test_format_17g_redoes_the_rows_laid_out_otherwise(scale, size, monkeypatch)
     rng = np.random.default_rng(size)
     values = scale * rng.uniform(1.1, 1.9, size)
     others = [
-        1.5, 1.25, 1.0, 0.125, 1250.0,  # trailing zeros
+        1.5, 1.25, 1.0, 0.125, 1250.0,  # trailing zeros, stripped after the gather
         9.9999999999999982, 10.000000000000002, 99.999999999999986, 100.0,  # past 10**k
         9.9999999999999991e-05, 0.0001, 0.00010000000000000002,  # exponent to fixed
         99999999999999984.0, 1e17, 1.0000000000000002e17,  # fixed to exponent
@@ -287,6 +308,35 @@ def test_format_17g_redoes_the_rows_laid_out_otherwise(scale, size, monkeypatch)
         assert _format_ints(range(size), end, buffers) == ["%d" % n + end for n in range(size)]
         short = values[: _VECTOR_MIN - 1]
         assert _format_17g(short, end, buffers) == _percent_17g(short, end)
+
+
+def _keeping_digits(k: int, e: int):
+    """The first float from 3.1415... cut to k digits, times 10**e, whose "%.17g" keeps k
+    significant digits at exponent e, or None when no k-digit mantissa has one."""
+    start = int("31415926535897932"[:k])
+    for m in (*range(start, 10**k)[:1000], *range(10 ** (k - 1), start)[:1000]):
+        x = float(f"{m}e{e - k + 1}")
+        mantissa, _, exponent = ("%.16e" % x).partition("e")
+        if m % 10 and (len(mantissa.replace(".", "").rstrip("0")), int(exponent)) == (k, e):
+            return x
+    return None
+
+
+def test_format_17g_strips_zeros_and_the_point_in_every_exponent_class():
+    # "%g" strips trailing zeros from the fraction and the point if no fraction remains: at
+    # every fixed exponent and at two- and three-digit exponents, 1 to 17 digits are kept
+    exponents = [*range(-4, 17), -5, -99, -100, 17, 99, 100, 250]
+    values = [x for e in exponents for k in range(1, 18) if (x := _keeping_digits(k, e))]
+    assert len(values) == 17 * len(exponents) - 3  # no double has 1 digit at -5, 99, 250
+    values += [123.0, 1e16, 99999999999999984.0, 5e17, 1e-05]  # no point left, one digit
+    for end in ("", ",", "\r\n"):
+        assert _format_17g(values, end) == _percent_17g(values, end)
+    for start in (*range(0, len(values) - _VECTOR_MIN, _VECTOR_MIN), len(values) - _VECTOR_MIN):
+        block = values[start : start + _VECTOR_MIN]  # _csv_lines' vector path, one block
+        for end in ("\n", "\r\n"):
+            pieces = list(_csv_lines({}, "x,y", [block, block[::-1]], end))
+            assert "".join(pieces[2:]) == "".join(
+                "%.17g,%.17g" % cells + end for cells in zip(block, block[::-1]))
 
 
 def test_spectrum_refuses_a_subnormal_gap_before_building_anything(monkeypatch):
