@@ -131,16 +131,23 @@ class _Kernel:
     T[hi, lo] += T_b Phi_m T_a, Phi_m = H_m S_m (rows lo of H_J, the last 2m + 2
     columns of S_J). x is n x m, a state (m = 1) or a basis (m = r); run
     overwrites it and holds one more n x m buffer.
+
+    The product of the F^j a half period applies repeats P's rounding in every
+    step, so it drifts from D_h = exp(-iE (K/2) h/hbar) in proportion to K, and
+    the drift would repeat every half period. On a periodic kernel (half = K/2)
+    advance multiplies x by fix = D_h/(that product) at every half-period end,
+    so only the rounding of one half period's steps is ever in flight, and the
+    period map takes the exact D_h.
     """
 
     def __init__(self, basis: CavityBasis, coupling: CouplingOperator, frequency: float,
-                 h: float, half: int = 1):
+                 h: float, half: int = 1, periodic: bool = False):
         self.frequency, self.h, self.half = frequency, h, half  # half: steps a table spans
         self.block_steps = _CHUNK * max(1, _TABLE_BYTES // (16 * (2 * _CHUNK + 2) ** 2))
         self.w, self.col = coupling.vacuum_row, np.conj(coupling.vacuum_row)
         self.e0 = np.eye(1, basis.n_max, dtype=complex)[0]
-        x = h / basis.units.hbar
-        self.p = np.exp((-0.5j * x) * np.asarray(basis.energy_vector, dtype=float))
+        x, e = h / basis.units.hbar, np.asarray(basis.energy_vector, dtype=float)
+        self.p = np.exp((-0.5j * x) * e)
         s_ww, s_wpw = (x * (x * complex(s)) for s in (np.vdot(self.w, self.w),
                                                       self.w @ (self.p * self.col)))
         # A_k[row, column] = sum of table[monomial, row, column] * monomial: row is
@@ -159,6 +166,13 @@ class _Kernel:
         self.stage_table = ((-1j) ** degree[:, None, None] / 6 * table).reshape(9, 16)
         self.built = {}  # j -> operators(j)
         self.block = None, None, None  # b, its stage matrices, their chunk matrices
+        self.d_h = self.fix = None
+        if periodic:
+            self.d_h = np.exp((-1j * (half * x)) * e)[:, None]
+            product = np.ones((basis.n_max, 1), dtype=complex)  # the F^j of half a period
+            for j in [_CHUNK] * (half // _CHUNK) + [1] * (half % _CHUNK):
+                product *= self.operators(j)[0]
+            self.fix = self.d_h / product
 
     def stages(self, starts: np.ndarray) -> np.ndarray:
         h = self.h
@@ -229,13 +243,12 @@ class _Kernel:
             x, k = self.run(x, table), k + taken
             if mirrored:
                 x[1:] *= -1
+            if self.fix is not None and k % half == 0:
+                x *= self.fix
         return x
 
     def build_map(self, v):  # (D, A, V^H) of a period U = Pi U_h Pi U_h, U_h a half, from V
-        d = np.ones((v.shape[0], 1), dtype=complex)  # D_h, the diagonal the kernel applies
-        for j in [_CHUNK] * (self.half // _CHUNK) + [1] * (self.half % _CHUNK):
-            d *= self.operators(j)[0]
-        vh = v.conj().T
+        d, vh = self.d_h, v.conj().T
         s = self.advance(v, 0, self.half)  # S = U_h V: V stepped in place through half a period
         # A = U V - D V = D_h A_h + Pi A_h (V^H Pi S), A_h = S - D_h V, D = D_h^2 (Pi V spans V)
         s[0] *= -1  # Pi' = -Pi flips only the vacuum row
@@ -252,8 +265,7 @@ class _Kernel:
             t[0] *= -1 if top == 0 else 1
             a_h *= d_h
             a_h += t
-        d *= d
-        return d, s, vh
+        return d * d, s, vh
 
 
 def _map_basis(basis: CavityBasis, coupling: CouplingOperator, period: float) -> np.ndarray:
@@ -301,7 +313,9 @@ def propagate(
     after. A half period goes _CHUNK steps at a time as one fused update, on
     chunks from its start; a chunk holding a sample, and steps left at a
     half-period end or the end of the run, go singly, so sample_stride changes
-    the final state only by rounding (_Kernel). Each period applies one map U
+    the final state only by rounding (_Kernel); every half-period end corrects
+    the free phases the steps applied to the exact exp(-iE T/(2 hbar)), so their
+    rounding does not add up over periods. Each period applies one map U
     (Floquet; Shirley 1965, Phys. Rev. 138:B979). If a whole period holds no
     sample (sample_stride >= K), U = D + A V^H is built once from V (n x r,
     _map_basis) stepped half a period, and each sample-free period is
@@ -341,7 +355,7 @@ def propagate(
     whole, grid = int(t_final // h), round(t_final / h)
     jump = per_period and min(sample_stride, whole) >= per_period  # a sample-free whole period
     half = per_period // 2 or grid  # tables span half a period, or the run if it has none
-    kernel = _Kernel(basis, coupling, drive.frequency, h, half)
+    kernel = _Kernel(basis, coupling, drive.frequency, h, half, periodic=per_period > 0)
     period_map = kernel.build_map(_map_basis(basis, coupling, per_period * h)) if jump else None
     x = x[:, None]
     samples = range(sample_stride, grid, sample_stride)

@@ -696,7 +696,9 @@ def run_invariant_checks(n_max: int = 2000) -> list[tuple[str, bool, str]]:
     def check_period_map():
         # t = 300 is 132 drive periods at n = 64 (rank r < n), stepped (a sample every
         # K - 1 steps) or mapped (10**9). A generic start leaves span(V), unlike the
-        # vacuum: a D of exp(-iET/hbar), not the kernel's, drifts ~2e-14 a period
+        # vacuum, so it reads the map's D, the exact D_h^2; stepping meets it only
+        # through the kernel's correction at every half-period end (~1e-14 a period
+        # apart without it)
         basis, coupling, drive, dt = driven_setup(64, 16)
         rank = _map_basis(basis, coupling, 2.0 * math.pi / drive.frequency).shape[1]
         amp = [1, 1j] @ np.random.default_rng(5).normal(size=(2, 64))

@@ -1,11 +1,12 @@
-"""Independent oracles shared by the test modules.
+"""What the test modules share beyond the benchmark's oracles.
 
-These deliberately avoid the package's own code paths: factorization by
-naive trial division, a separately written dense-matrix RK4 integrator
-for cross-checking the production propagator, and a reader of the scaling
-CSV that parses the file with the csv module. The one exception is the
-unpruned discrimination references, which must repeat the package's arithmetic
-expression for expression to serve as a bit-for-bit reference.
+The independent references, naive trial division and the dense lab-frame
+RK4, live once in bench/oracles.py, and the tracer's own sample-grid check in
+bench/tracing.py; pytest puts bench/ on the import path (pyproject.toml).
+This module holds the rest: a reader of the scaling CSV that parses the file
+with the csv module, and the unpruned discrimination references, which must
+repeat the package's arithmetic expression for expression to serve as a
+bit-for-bit reference.
 """
 
 import csv
@@ -15,30 +16,6 @@ import math
 import numpy as np
 
 from primecavity import ScalingRecord
-
-
-def naive_factor(n: int) -> list[tuple[int, int]]:
-    """Trial division by 2 and then every odd integer; no sieve, no cache."""
-    out = []
-    rest = n
-    m = 0
-    while rest % 2 == 0:
-        rest //= 2
-        m += 1
-    if m:
-        out.append((2, m))
-    d = 3
-    while d * d <= rest:
-        m = 0
-        while rest % d == 0:
-            rest //= d
-            m += 1
-        if m:
-            out.append((d, m))
-        d += 2
-    if rest > 1:
-        out.append((rest, 1))
-    return out
 
 
 def read_scaling_csv(path) -> tuple[tuple[ScalingRecord, ...], dict]:
@@ -51,36 +28,6 @@ def read_scaling_csv(path) -> tuple[tuple[ScalingRecord, ...], dict]:
         assert next(reader) == ["N", "bit_size", "t_disc", "energy", "product", "ratio"]
         records = tuple(ScalingRecord(int(row[0]), *map(float, row[1:6])) for row in reader)
     return records, manifest
-
-
-def oracle_rk4(n_max, lam, drive_freq, t_final, dt, hbar=1.0, omega=1.0):
-    """Dense-matrix RK4 for the star-driven cavity, written independently.
-
-    Builds the full Hamiltonian H(t) = diag(E) + cos(drive_freq*t)*W each
-    evaluation instead of exploiting the star structure.
-    """
-    energies = hbar * omega * np.log(np.arange(1, n_max + 1, dtype=float))
-    w = np.zeros((n_max, n_max), dtype=complex)
-    w[0, 1:] = lam
-    w[1:, 0] = lam
-    h0 = np.diag(energies).astype(complex)
-
-    def hmat(t):
-        return h0 + np.cos(drive_freq * t) * w
-
-    psi = np.zeros(n_max, dtype=complex)
-    psi[0] = 1.0
-    steps = int(round(t_final / dt))
-    h = t_final / steps
-    t = 0.0
-    for _ in range(steps):
-        k1 = -1j / hbar * (hmat(t) @ psi)
-        k2 = -1j / hbar * (hmat(t + h / 2) @ (psi + h / 2 * k1))
-        k3 = -1j / hbar * (hmat(t + h / 2) @ (psi + h / 2 * k2))
-        k4 = -1j / hbar * (hmat(t + h) @ (psi + h * k3))
-        psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return psi
 
 
 def _full_competitors(target, basis, coupling):

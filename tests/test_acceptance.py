@@ -41,8 +41,9 @@ from primecavity import (
     vacuum_state,
     verify_reachability,
 )
+from primecavity.experiments import _naive_trial_division
 
-from helpers import naive_factor, oracle_rk4
+from oracles import naive_factors, reference_state, uniform_envelope_time
 
 ROOT = Path(__file__).resolve().parents[1]
 MIN_GAP_5000 = 2.0002000266706673e-4   # log(5000/4999) to 30 digits, rounded
@@ -63,7 +64,7 @@ def test_criterion_1_encoding_roundtrip():
     for n in range(1, 100_001):
         occ = factorize(n)
         assert compose(occ) == n, f"round-trip broke at {n}"
-        assert list(occ.entries) == naive_factor(n), f"oracle mismatch at {n}"
+        assert list(occ.entries) == _naive_trial_division(n), f"oracle mismatch at {n}"
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0
     _report(1, ok, f"100000/100000 round-trips match trial division in {elapsed:.2f}s")
@@ -132,7 +133,7 @@ def _first_order_discrepancies(p_exact, target, lam, t):
 
 def _assert_matches_oracle(p_exact, lam, dt):
     """Independent oracle: separately written dense-matrix integrator at dt/10."""
-    p_oracle = np.abs(oracle_rk4(24, lam, math.log(6.0), 41.0, dt / 10)) ** 2
+    p_oracle = np.abs(reference_state(24, lam, math.log(6.0), 41.0, round(41.0 / (dt / 10)))) ** 2
     assert np.abs(p_exact - p_oracle).max() <= 1e-8
     for i in range(1, 24):
         if p_oracle[i] > 1e-10:
@@ -265,7 +266,7 @@ def test_criterion_7_end_to_end_readout():
     seed, shots = 1, 10_000
     details = []
     for target in targets:
-        t_disc = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / target)
+        t_disc = uniform_envelope_time(target, 10.0)
         strength = 2.0 * math.sqrt(0.08) / t_disc  # ~8% target weight, inside the guard
         report = run_prepare(target, n_max=n_max, strength=strength,
                              shots=shots, seed=seed)
@@ -274,8 +275,7 @@ def test_criterion_7_end_to_end_readout():
         assert report == again, "same seed and config must reproduce bit-identically"
         assert report.status == "pass"
         assert report.conditional_target_probability >= 0.9
-        oracle = "*".join(f"{q}^{m}" if m > 1 else str(q) for q, m in naive_factor(target))
-        assert report.readout == oracle == format_occupation(factorize(target))
+        assert report.readout == naive_factors(target) == format_occupation(factorize(target))
         details.append(f"{target}->{report.readout} "
                        f"({report.conditional_target_probability:.3f})")
     _report(7, True, "readout correct and conditional >= 0.9: " + ", ".join(details))

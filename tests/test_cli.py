@@ -20,6 +20,8 @@ import primecavity.experiments
 from primecavity import PropagationError, cli, factorize
 from primecavity.experiments import _CSV_BLOCK_ROWS, PrepareReport
 
+from oracles import uniform_envelope_time
+
 
 def run_cli(argv):
     return cli.main(argv)
@@ -738,6 +740,24 @@ def test_check_out_of_memory_is_config_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "not enough memory for a basis of 100000000000 levels" in captured.err
     assert "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("target", [21, 100])
+def test_prepare_writes_the_same_bytes_under_one_and_two_blas_threads(target):
+    # each CI leg runs one BLAS thread count, so only a comparison within one
+    # run sees a report that depends on it; 8% target weight, where every
+    # drive period is mapped (at N = 400 the map build still differs)
+    strength = 2.0 * math.sqrt(0.08) / uniform_envelope_time(target, 10.0)
+    argv = [sys.executable, "-m", "primecavity", "prepare", "--target", str(target),
+            f"--lambda={strength!r}"]
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(argv, capture_output=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr.decode()
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1]
 
 
 def test_module_entry_point_version():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from primecavity import (
     Units,
     build_basis,
     build_coupling,
+    discrimination_time,
     excitation_probability,
     factorize,
     max_stable_dt,
@@ -30,7 +32,8 @@ from primecavity import (
 )
 from primecavity.dynamics import step_grid
 
-from helpers import oracle_rk4
+from oracles import reference_state, uniform_envelope_time
+from tracing import _propagate_counts
 
 
 def _uniform_setup(n_max, target, lam):
@@ -89,8 +92,7 @@ def test_default_step_matches_oracle():
     # run_prepare's default step (half the gate) against the independent
     # lab-frame RK4 at a sixteenth of the gate; criterion-7 coupling at N = 6
     target, n_max = 6, 14
-    t_disc = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / target)
-    strength = 2.0 * math.sqrt(0.08) / t_disc
+    strength = 2.0 * math.sqrt(0.08) / uniform_envelope_time(target, 10.0)
     report = run_prepare(target, n_max=n_max, strength=strength, shots=100, seed=1)
     basis, coupling, drive = _uniform_setup(n_max, target, strength)
     gate = max_stable_dt(basis, coupling)
@@ -100,7 +102,8 @@ def test_default_step_matches_oracle():
     assert report.t_disc - (report.t_disc // h) * h > 0
     run = propagate(vacuum_state(basis), basis, coupling, drive, report.t_disc,
                     report.manifest["dt"], sample_stride=10**9)
-    psi_ref = oracle_rk4(n_max, strength, math.log(target), report.t_disc, gate / 16)
+    psi_ref = reference_state(n_max, strength, math.log(target), report.t_disc,
+                              round(report.t_disc / (gate / 16)))
     assert np.abs(run.final - psi_ref).max() <= 1e-10
 
 
@@ -383,14 +386,6 @@ def test_run_prepare_is_invariant_under_units_with_the_same_hbar_omega(hbar, ome
     assert scaled.norm_drift <= 1e-11
 
 
-def _tracer_sample_count(times, stride):
-    # the count bench/tracing.py asserts: samples at k*h for k = stride,
-    # 2*stride, ... before t_final, plus the final state
-    h = float(times[1] - times[0]) / stride
-    steps = round(float(times[-1]) / h)
-    return 1 + steps // stride + (1 if steps % stride else 0)
-
-
 def _final(basis, coupling, drive, t_final, dt, stride):
     run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt,
                     sample_stride=stride)
@@ -418,9 +413,9 @@ def test_period_map_matches_stepping(target, width, model, units, gate_share, pe
     assert np.abs(stepped - mapped).max() <= 1e-12
 
 
-def _prepare_run(target):
-    # run_prepare at 8% target weight, with the trajectory it integrates and
-    # the width of each period-map basis it builds
+def _prepare_run(target, **kwargs):
+    # run_prepare (at 8% target weight unless kwargs set the strength), with
+    # the trajectory it integrates and the width of each period-map basis it builds
     runs, widths = [], []
     propagate_, map_basis = primecavity.experiments.propagate, primecavity.dynamics._map_basis
 
@@ -433,11 +428,11 @@ def _prepare_run(target):
         widths.append(v.shape[1])
         return v
 
-    strength = math.sqrt(0.08) * math.log1p(1.0 / target) / math.sqrt(10.0)
+    kwargs.setdefault("strength", 2.0 * math.sqrt(0.08) / uniform_envelope_time(target, 10.0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primecavity.experiments, "propagate", catching)
         mp.setattr(primecavity.dynamics, "_map_basis", map_basis_spy)
-        report = run_prepare(target, strength=strength)
+        report = run_prepare(target, **kwargs)
     return report, runs[0], widths
 
 
@@ -445,15 +440,61 @@ def _prepare_run(target):
 def test_low_rank_map_matches_the_full_map_over_run_prepare(monkeypatch, target):
     # the rank-r map against the full map, its basis patched to the identity,
     # over the whole integration (465 and 1725 periods). D cancels from the
-    # full map but not from the rank-r one: a D taken from exp(-iET/hbar) or
-    # np.power drifts past 1e-12 by target 300, the kernel's own factors stay
-    # below 1e-13
+    # full map but not from the rank-r one, which must take the D that stepping
+    # applies: the exact D_h^2, to which the kernel corrects its product of step
+    # factors at every half-period end (5e-14 and 2.5e-13 here). That product
+    # uncorrected, against the exact D, drifts past 1e-12 by target 100
     _, low_rank, widths = _prepare_run(target)
     assert len(widths) == 1 and widths[0] < (2 * target + 2) / 8
     monkeypatch.setattr(primecavity.dynamics, "_map_basis",
                         lambda basis, *_: np.eye(basis.n_max, dtype=complex))
     full = _prepare_run(target)[1]
     assert np.abs(low_rank.states - full.states).max() <= 1e-12
+
+
+@pytest.mark.parametrize("target, stride", [(14, "period - 1"), (14, 10**9), (400, 10**9)])
+def test_refining_the_step_leaves_only_a_rounding_floor(target, stride):
+    # 8% target weight over t_disc (38 drive periods at N = 14, 2415 at 400),
+    # stepped with a sample in every period or mapped, gate/16 against gate/32.
+    # Lawson RK4's error at gate/2 is ~2e-11 and shrinks 8^4-fold by gate/16,
+    # so rounding is what is left. The rounding model of the free phases: a
+    # state carries the rounding of at most the K/2 steps since the last
+    # half-period end, eps a step, and each half-period end leaves the
+    # rounding of D_h and of its correction, eps each. Without the correction
+    # the step rounding adds up over the whole run (1.9e-12 at N = 14, 1.4e-10
+    # at 400, against bounds of 9.3e-13 and 5.0e-12)
+    t_disc = uniform_envelope_time(target, 10.0)
+    basis, coupling, drive = _uniform_setup(2 * target + 2, target,
+                                            2.0 * math.sqrt(0.08) / t_disc)
+    gate = max_stable_dt(basis, coupling)
+    half_periods = math.ceil(t_disc * drive.frequency / math.pi)
+    finals, bound = [], 0.0
+    for dt in (gate / 16, gate / 32):
+        per_period = step_grid(t_disc, dt, drive.frequency)[1]
+        every = per_period - 1 if stride == "period - 1" else stride
+        finals.append(_final(basis, coupling, drive, t_disc, dt, every))
+        bound += np.finfo(float).eps * (per_period / 2 + 2 * half_periods)
+    assert np.abs(finals[0] - finals[1]).max() <= bound
+
+
+@pytest.mark.parametrize("model", COUPLING_MODELS)
+def test_the_exact_state_at_t_disc_holds_the_target_kappa_times_over_each_competitor(model):
+    # the paper's premise read off the exact state, not first order, at the
+    # tightest point measured: N = 14, instantaneous mode, kappa = 10, and the
+    # target's coupling 2*sqrt(0.0999)/t_disc, a first-order weight of 0.0999
+    # just inside the guard. The ratio reads 11.75 (uniform) and 10.23 (decaying)
+    target, kappa = 14, 10.0
+    basis = build_basis(2 * target + 2)
+    unit = build_coupling(basis, model, 1.0)
+    t_disc = discrimination_time(target, basis, unit, kappa, "instantaneous")
+    w_target = 2.0 * math.sqrt(0.0999) / t_disc
+    _, run, _ = _prepare_run(target, strength=w_target / abs(unit.vacuum_row[target - 1]),
+                             kappa=kappa, model=model, mode="instantaneous")
+    p = np.abs(run.final) ** 2
+    competitors = p.copy()
+    competitors[[0, target - 1]] = 0.0  # every excited level but the target
+    assert p[target - 1] >= kappa * competitors.max()
+    assert np.argmax(competitors) + 1 == target + 1
 
 
 def test_run_prepare_at_400_maps_periods_at_low_rank():
@@ -470,9 +511,11 @@ def test_sample_grid_matches_the_tracer_count(periods, stride):
     t_final = periods * 2.0 * math.pi / drive.frequency
     h, per_period = step_grid(t_final, dt, drive.frequency)
     stride = (per_period or 1) if stride == "period" else stride
-    run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt,
-                    sample_stride=stride)
-    assert len(run.times) == _tracer_sample_count(run.times, stride)
+    args = (vacuum_state(basis), basis, coupling, drive, t_final, dt)
+    run = propagate(*args, sample_stride=stride)
+    # the bench tracer's own check: samples at k*h for k = stride, 2*stride,
+    # ... before t_final, plus the final state; it raises on any other count
+    _propagate_counts(Counter(), args, {"sample_stride": stride}, run)
     assert run.times[-1] == t_final
     inner = run.times[1:-1]
     assert np.array_equal(inner, stride * np.arange(1, len(inner) + 1) * h)
@@ -506,7 +549,7 @@ def test_run_without_a_whole_period_steps_on_the_plain_grid(frequency, t_final):
     assert step_grid(t_final, dt, frequency) == (t_final / round(t_final / dt), 0)
     run = propagate(vacuum_state(basis), basis, coupling, drive, t_final, dt)
     assert len(run.times) == round(t_final / dt) + 1 and run.times[-1] == t_final
-    psi_ref = oracle_rk4(n_max, lam, frequency, t_final, dt / 4)
+    psi_ref = reference_state(n_max, lam, frequency, t_final, round(t_final / (dt / 4)))
     assert np.abs(run.final - psi_ref).max() <= 1e-12
 
 

@@ -25,8 +25,7 @@ from primecavity import (
     occupation_strings,
     upper_gap,
 )
-
-from helpers import naive_factor
+from primecavity.experiments import _naive_trial_division
 
 # frozen to 40 decimal digits and rounded to the nearest double
 LN2 = 0.6931471805599453
@@ -101,7 +100,7 @@ def test_factorize_equals_the_validated_vector_it_skips():
         with pytest.raises(ValueError):
             OccupationVector(entries)
     for n in range(1, 2001):
-        validated = OccupationVector(tuple(naive_factor(n)))
+        validated = OccupationVector(tuple(_naive_trial_division(n)))
         assert factorize(n) == validated and hash(factorize(n)) == hash(validated)
 
 
@@ -109,7 +108,7 @@ def test_roundtrip_against_naive_oracle():
     for n in range(1, 2001):
         occ = factorize(n)
         assert compose(occ) == n
-        assert list(occ.entries) == naive_factor(n)
+        assert list(occ.entries) == _naive_trial_division(n)
 
 
 def test_format_occupation():
@@ -188,7 +187,7 @@ def test_spf_table_holds_smallest_prime_factors():
     assert spf.dtype == np.int32 and len(spf) == 5001  # sieved to its limit, no further
     assert spf[0] == 0 and spf[1] == 1
     for n in range(2, 5001):
-        assert spf[n] == naive_factor(n)[0][0]
+        assert spf[n] == _naive_trial_division(n)[0][0]
 
 
 def test_sieve_rejects_limits_past_int32_entries():
@@ -275,7 +274,7 @@ def test_spf_chain_and_trial_division_agree_with_oracle(n):
         q = int(spf[rest])
         chained[q] = chained.get(q, 0) + 1
         rest //= q
-    assert list(chained.items()) == naive_factor(n)  # naive trial division
+    assert list(chained.items()) == _naive_trial_division(n)
     occ = factorize(n)
     assert dict(occ.entries) == chained and compose(occ) == n
 
@@ -285,7 +284,7 @@ def test_spf_chain_and_trial_division_agree_with_oracle(n):
 def test_factorize_compose_roundtrip_large(n):
     occ = factorize(n)
     assert compose(occ) == n
-    assert list(occ.entries) == naive_factor(n)
+    assert list(occ.entries) == _naive_trial_division(n)
     assert is_prime(n) == (occ.entries == ((n, 1),))
 
 

@@ -42,6 +42,7 @@ from primecavity.experiments import (
 )
 
 from helpers import read_scaling_csv
+from oracles import uniform_envelope_time
 
 OLS_SLOPE_8_TO_128 = 0.9806887879886452  # closed-form sweep, kappa=10
 TWO_SQRT_10 = 6.324555320336759
@@ -369,7 +370,7 @@ def test_scaling_sweep_reaches_a_million_levels():
     study = run_scaling([8, 16, 10**6])
     top = study.records[-1]
     assert top.label == 10**6
-    expected = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / 10**6)
+    expected = uniform_envelope_time(10**6, 10.0)
     assert abs(top.t_disc - expected) <= 1e-12 * expected
     assert study.manifest["n_max"] == 10**6 + 1
 
@@ -381,7 +382,7 @@ def test_scaling_study_slope_and_ratios():
     assert study.fit.slope == pytest.approx(OLS_SLOPE_8_TO_128, abs=1e-10)
     assert 0.95 <= study.fit.slope <= 1.0
     for r in study.records:
-        expected_t = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / r.label)
+        expected_t = uniform_envelope_time(r.label, 10.0)
         assert r.t_disc == pytest.approx(expected_t, rel=1e-12)
         assert r.energy == pytest.approx(math.log(r.label), rel=1e-15)
         assert r.product == pytest.approx(r.t_disc * r.energy, rel=1e-15)
@@ -504,7 +505,7 @@ def test_prepare_end_to_end_target_6():
     assert report.readout_value == 6
     assert report.expected == "2*3"
     assert report.conditional_target_probability >= 0.9
-    assert report.t_disc == pytest.approx(2 * math.sqrt(10) / math.log1p(1.0 / 6), rel=1e-12)
+    assert report.t_disc == pytest.approx(uniform_envelope_time(6, 10.0), rel=1e-12)
     assert report.norm_drift <= 1e-9
     assert len(report.curve_times) == len(report.curve_exact) == len(report.curve_first_order)
     assert report.curve_times[-1] == pytest.approx(report.t_disc, rel=1e-12)
@@ -524,7 +525,7 @@ def test_prepare_end_to_end_target_6():
 def test_prepare_default_step_drift_at_50():
     # criterion-7 coupling (~8% target weight); drift at the default step
     # must stay far inside the 1e-9 norm tolerance
-    t_disc = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / 50)
+    t_disc = uniform_envelope_time(50, 10.0)
     report = run_prepare(50, strength=2.0 * math.sqrt(0.08) / t_disc, shots=100, seed=1)
     assert report.norm_drift <= 1e-11
 

@@ -31,6 +31,7 @@ from helpers import (
     unpruned_envelope_time,
     unpruned_instantaneous_time,
 )
+from oracles import uniform_envelope_time
 
 # frozen from 40-digit evaluation of the closed forms
 P_AT_3_FROM_2 = 4.900575098632455e-4      # w=0.01, t=10, resonance on 2
@@ -149,7 +150,7 @@ def test_discrimination_time_closed_form():
     assert t == pytest.approx(T_DISC_8_KAPPA_10, rel=1e-12)
     # kappa = 1 collapses to 2/Delta_min
     t1 = discrimination_time(8, basis, coupling, kappa=1.0)
-    assert t1 == pytest.approx(2.0 / math.log1p(1.0 / 8), rel=1e-12)
+    assert t1 == pytest.approx(uniform_envelope_time(8, 1.0), rel=1e-12)
 
 
 def test_discrimination_time_large_n_flat_tolerance():
@@ -157,7 +158,7 @@ def test_discrimination_time_large_n_flat_tolerance():
     basis = build_basis(4097)
     coupling = build_coupling(basis, "star-uniform", 1e-3)
     for n in (3921, 4096):
-        expected = 2.0 * math.sqrt(10.0) / math.log1p(1.0 / n)
+        expected = uniform_envelope_time(n, 10.0)
         t = discrimination_time(n, basis, coupling, kappa=10.0)
         assert abs(t - expected) <= 1e-12 * expected, n
 
